@@ -15,8 +15,8 @@
 //! * `engine_build` — [`ShardedEngine::new`]: the same map round plus
 //!   opening one persistent [`msd_core::DynamicSession`] per shard and
 //!   the first merge (paid once per corpus, amortized across the stream).
-//! * `perturb_stabilize` — one [`BURST`]-perturbation batch through
-//!   [`ShardedEngine::apply_batch`] per iteration: routing, per-shard
+//! * `perturb_stabilize` — one trusting [`BURST`]-perturbation batch
+//!   through [`ShardedEngine::ingest`] per iteration: routing, per-shard
 //!   O(Δ) repair + stabilization, and the *incremental* reduce (re-merged
 //!   only when a proposal set changed or the batch touched the union —
 //!   half the draws target union members so dirty merges genuinely
@@ -24,8 +24,8 @@
 //!   persistent engine's headline win: re-solve cost vs incremental
 //!   batch cost at the same `n`.
 //! * `perturb_stabilize_forced` (`--features parallel`) — the same
-//!   stream through [`SyncShardedEngine::apply_batch_parallel`] on an
-//!   explicit 4-thread [`msd_core::ScanPool`] forcing genuinely chunked
+//!   stream through an engine holding an explicit 4-thread
+//!   [`msd_core::ScanPool`] (`with_scan_pool`) forcing genuinely chunked
 //!   scans, so the recorded number carries real chunk/merge overhead even
 //!   on a 1-core host (without a forced pool a 1-core box collapses every
 //!   scan to a single chunk and the "parallel" column silently measures
@@ -44,8 +44,8 @@ use msd_bench::support::{
     ground_sizes, json_num, json_ratio, point_instance, record_configs, record_mean, workspace_root,
 };
 use msd_core::{
-    distributed_greedy, DistributedConfig, ElementId, GreedyBConfig, PartitionScheme,
-    SessionPerturbation, ShardedConfig, ShardedEngine,
+    distributed_greedy, Batch, DistributedConfig, ElementId, GreedyBConfig, PartitionScheme,
+    SessionPerturbation, ShardedConfig, ShardedEngine, Validation,
 };
 use msd_metric::PointKernel;
 use rand::rngs::StdRng;
@@ -136,7 +136,8 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(engine.apply_batch(black_box(&batch)))
+                    let batch = Batch::new(batch).with_validation(Validation::Legacy);
+                    black_box(engine.ingest(black_box(batch)))
                 })
             });
         }
@@ -151,7 +152,8 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(engine.apply_batch_parallel(black_box(&batch)))
+                    let batch = Batch::new(batch).with_validation(Validation::Legacy);
+                    black_box(engine.ingest(black_box(batch)))
                 })
             });
         }

@@ -19,8 +19,8 @@
 //! same perturbation streams — the `rebuild_ns`/`session_ns` pair tracks
 //! the session speedup in-repo — and a `dynamic/batch/*` family driving
 //! whole redraw *bursts* ([`BATCH`] perturbations + stabilization per
-//! iteration) per-perturbation vs through
-//! [`DynamicSession::apply_batch`]'s one-scan-per-batch ingestion (the
+//! iteration) per-perturbation vs as one [`DynamicSession::ingest`]
+//! batch with its one-scan-per-batch ingestion (the
 //! `per_apply_ns`/`batch_ns` pair, ns per perturbation), and a
 //! `dynamic/graph/*` family driving edge-weight churn on road-like and
 //! clustered networks through the incremental APSP repair of
@@ -38,8 +38,8 @@
 //! (`MSD_PARALLEL_THREADS=4`, recording genuinely chunked execution even
 //! on a 1-core host where the plain parallel path collapses to a single
 //! chunk), the session family a `session_parallel` one and the batch
-//! family a `batch_parallel` one (bit-identical outputs; see
-//! `msd-core/src/parallel.rs`).
+//! family a `batch_parallel` one — sessions holding the global scan pool
+//! (bit-identical outputs; see `msd-core/src/parallel.rs`).
 //!
 //! Results are written to `BENCH_dynamic.json` at the workspace root so
 //! the dynamic-update perf trajectory is tracked in-repo.
@@ -61,9 +61,9 @@ use msd_core::{
     GreedyBConfig, Perturbation, SessionPerturbation, Validation,
 };
 
-/// The measured ingestion call: the unified API under the legacy
-/// (trusting) regime — the exact work the old `apply`/`apply_batch`
-/// entry points performed, minus the validation pass `Strict` would add.
+/// The measured ingestion call: [`DynamicSession::ingest`] under the
+/// legacy (trusting) regime — no validation pass, as the rows have always
+/// measured.
 fn ingest_legacy<
     M: msd_metric::PerturbableMetric,
     Q: msd_submodular::IncrementalOracle + ?Sized,
@@ -346,14 +346,15 @@ fn bench_session<F: SetFunction + Sync + Clone>(
         #[cfg(feature = "parallel")]
         {
             let session_problem = problem.clone();
-            let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init);
+            let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init)
+                .with_scan_pool(std::sync::Arc::clone(msd_core::ScanPool::global()));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("session_parallel", |b| {
                 b.iter(|| {
                     let mut last = None;
                     for _ in 0..SESSION_BATCH {
                         let pert = draw_perturbation(&mut rng, n, with_weights);
-                        last = Some(session.apply_parallel(black_box(pert.into())));
+                        last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
                     }
                     last
                 })
@@ -366,10 +367,10 @@ fn bench_session<F: SetFunction + Sync + Clone>(
 /// Batch-ingestion family: one Figure-1 redraw *burst* per measured
 /// iteration — [`BATCH`] perturbations plus the stabilization needed
 /// before the solution is read — driven per-perturbation
-/// ([`DynamicSession::apply`] × [`BATCH`], one scan per relevant
-/// perturbation) against batched ingestion
-/// ([`DynamicSession::apply_batch`], O(Δ) repairs then at most one
-/// union-scoped scan). Both variants keep their session alive across
+/// (one-perturbation [`DynamicSession::ingest`] × [`BATCH`], one scan
+/// per relevant perturbation) against batched ingestion (one
+/// [`BATCH`]-long [`DynamicSession::ingest`], O(Δ) repairs then at most
+/// one union-scoped scan). Both variants keep their session alive across
 /// iterations and draw identical perturbation streams from their own
 /// seeded RNG; `to_json` normalizes the recorded means to ns per
 /// perturbation.
@@ -472,7 +473,8 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
         #[cfg(feature = "parallel")]
         {
             let session_problem = problem.clone();
-            let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init);
+            let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init)
+                .with_scan_pool(std::sync::Arc::clone(msd_core::ScanPool::global()));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             let hot = hot.clone();
             group.bench_function("batch_parallel", |b| {
@@ -480,7 +482,7 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
                     let burst: Vec<SessionPerturbation> = (0..BATCH)
                         .map(|_| draw_burst_perturbation(&mut rng, n, with_weights, &hot).into())
                         .collect();
-                    session.apply_batch_parallel(black_box(&burst));
+                    ingest_legacy(&mut session, black_box(burst));
                     session.update_until_stable(BATCH)
                 })
             });
@@ -569,14 +571,15 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
             {
                 let session_problem = problem.clone();
                 let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init)
-                    .with_matroid(matroid.as_ref());
+                    .with_matroid(matroid.as_ref())
+                    .with_scan_pool(std::sync::Arc::clone(msd_core::ScanPool::global()));
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session_parallel", |b| {
                     b.iter(|| {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(session.apply_parallel(black_box(pert.into())));
+                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
                         }
                         last
                     })
@@ -635,14 +638,15 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
             {
                 let session_problem = problem.clone();
                 let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init)
-                    .with_knapsack(costs.clone(), budget);
+                    .with_knapsack(costs.clone(), budget)
+                    .with_scan_pool(std::sync::Arc::clone(msd_core::ScanPool::global()));
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session_parallel", |b| {
                     b.iter(|| {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(session.apply_parallel(black_box(pert.into())));
+                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
                         }
                         last
                     })
@@ -666,7 +670,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
 ///   n = 5000),
 /// * `repair` — [`DynamicGraphMetric::set_edge`]'s incremental APSP
 ///   repair (O(n + affected·n)),
-/// * `session_update` — one [`DynamicSession::apply_graph`] over the
+/// * `session_update` — one trusting [`DynamicSession::ingest`] over the
 ///   graph metric with modular quality: metric repair + O(Δ) cache
 ///   patches + the (scoped) oblivious swap update.
 ///
@@ -734,9 +738,11 @@ fn bench_graph(c: &mut Criterion, ns: &[usize]) {
                 group.bench_function("session_update", |b| {
                     b.iter(|| {
                         let (u, v, w) = draw(&mut rng);
+                        let update = Batch::from(GraphPerturbation::SetEdge { u, v, weight: w })
+                            .with_validation(Validation::Legacy);
                         black_box(
                             session
-                                .apply_graph(GraphPerturbation::SetEdge { u, v, weight: w })
+                                .ingest(update)
                                 .expect("weight updates never disconnect"),
                         )
                     })

@@ -1,7 +1,7 @@
-//! Equivalence suite for [`DynamicSession::apply_batch`] and the bounded
-//! best-swap candidate cache.
+//! Equivalence suite for batched [`DynamicSession::ingest`] and the
+//! bounded best-swap candidate cache.
 //!
-//! **Batch semantics.** `apply_batch` ingests every perturbation's O(Δ)
+//! **Batch semantics.** A batch `ingest` repairs every perturbation in O(Δ)
 //! repair in order (departure removals included), then runs **one**
 //! batch-final greedy refill pass toward `p` over the union state
 //! (ROADMAP follow-up (e)) and defers the swap work behind one
@@ -16,13 +16,13 @@
 //! swap and solution for solution — across random scripts of mixed
 //! batches (weights, distances, arrivals, departures, in-batch
 //! duplicates, empty batches), all four quality families, serial and
-//! with `MSD_PARALLEL_THREADS` forced chunking.
+//! on a forced `ScanPool::new(4)`.
 //!
-//! (Interleaving a *scan* after every perturbation — k sequential
-//! `apply` calls — takes best-improvement steps against intermediate
+//! (Interleaving a *scan* after every perturbation — k one-perturbation
+//! batches — takes best-improvement steps against intermediate
 //! objectives and can legitimately hill-climb to a different local
 //! optimum of the final instance; the deferred-ingestion reference is
-//! the semantics `apply_batch` promises and the one that is provably
+//! the semantics a batch promises and the one that is provably
 //! bit-identical, tie-breaks included.)
 //!
 //! **Candidate cache.** For any capacity `K` the cache is pure
@@ -39,8 +39,8 @@ use msd_core::{
     SessionPerturbation, Validation,
 };
 
-/// The old trusting `apply_batch` contract through the unified ingestion
-/// API: legacy validation, one union-scoped scan.
+/// A trusting ([`Validation::Legacy`]) batch `ingest`: no validation
+/// pass, one union-scoped scan.
 fn ingest_legacy<
     M: msd_metric::PerturbableMetric,
     Q: msd_submodular::IncrementalOracle + ?Sized,
@@ -136,7 +136,7 @@ fn random_batch(
 /// Replays one batch's ingestion onto the mirrored reference state:
 /// problem mutation and availability mask in the session's ingestion
 /// order, then the **batch-final** greedy refill loop toward `p` over
-/// the union state (the deferred-refill contract of `apply_batch`).
+/// the union state (the deferred-refill contract of a batch).
 fn ingest_into_mirror<F: SetFunction>(
     batch: &[SessionPerturbation],
     mirror: &mut DiversificationProblem<DistanceMatrix, F>,
@@ -178,7 +178,7 @@ fn ingest_into_mirror<F: SetFunction>(
     }
 }
 
-/// Drives `batches` random batches through `apply_batch` + stabilization
+/// Drives `batches` random batches through `ingest` + stabilization
 /// and through the deferred-ingestion naive reference; asserts swaps,
 /// solutions, masks and objective agree after every batch.
 #[allow(clippy::too_many_arguments)]
@@ -479,11 +479,12 @@ fn candidate_cache_capacities_agree_on_tie_heavy_instances() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::SyncDynamicSession;
+    use msd_core::{ScanPool, SyncDynamicSession};
+    use std::sync::Arc;
 
-    /// Serial `apply_batch`, parallel `apply_batch_parallel` and the
-    /// deferred-ingestion naive reference must agree batch for batch (CI
-    /// forces real chunking through `MSD_PARALLEL_THREADS`).
+    /// A serial session, one pooled on a forced `ScanPool::new(4)` and
+    /// the deferred-ingestion naive reference must agree batch for
+    /// batch.
     #[test]
     fn parallel_apply_batch_is_bit_identical_across_qualities() {
         check(
@@ -515,14 +516,15 @@ mod parallel_equivalence {
         let sync_problem = make();
         let init = greedy_b(&problem, p, GreedyBConfig::default());
         let mut serial = DynamicSession::new(&problem, &init);
-        let mut parallel = SyncDynamicSession::new_sync(&sync_problem, &init);
+        let mut parallel = SyncDynamicSession::new_sync(&sync_problem, &init)
+            .with_scan_pool(Arc::new(ScanPool::new(4)));
         serial.update_until_stable(300);
         parallel.update_until_stable(300);
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ n as u64);
         for batch_idx in 0..15 {
             let batch = random_batch(&mut rng, n, with_weights, serial.solution());
             let a = ingest_legacy(&mut serial, &batch);
-            let b = parallel.apply_batch_parallel(&batch);
+            let b = ingest_legacy(&mut parallel, &batch);
             assert_eq!(
                 a, b,
                 "{label} batch {batch_idx}: serial and parallel batch reports diverged"

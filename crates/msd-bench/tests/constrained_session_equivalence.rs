@@ -18,8 +18,8 @@ use msd_core::{
     GreedyBConfig, SessionPerturbation, Validation,
 };
 
-/// One perturbation through the unified ingestion API under the legacy
-/// (trusting) regime — the migration target of the old `apply` contract.
+/// One perturbation through [`DynamicSession::ingest`] under the legacy
+/// (trusting) regime.
 fn ingest_one<M: msd_metric::PerturbableMetric, Q: msd_submodular::IncrementalOracle + ?Sized>(
     session: &mut DynamicSession<'_, M, Q>,
     pert: SessionPerturbation,
@@ -619,10 +619,10 @@ mod parallel_equivalence {
                 no_weights,
             );
             let a = ingest_one(&mut serial, pert);
-            let b = parallel.apply_parallel(pert);
+            let b = ingest_one(&mut parallel, pert);
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
-                (b.outcome, b.refill, b.scan),
+                (b.outcome, b.refills.last().copied(), b.scan),
                 "{label} seed {seed} step {step}: reports diverged"
             );
             let expected = reference.step(&mirror, &active, &mut sol);

@@ -17,10 +17,10 @@ use msd_submodular::{CoverageFunction, FacilityLocationFunction, MixtureFunction
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One perturbation through the unified ingestion API under the legacy
-/// (trusting) regime — the migration target of the old `apply` contract.
-fn ingest_one(
-    session: &mut DynamicSession<'_, DistanceMatrix>,
+/// One perturbation through [`DynamicSession::ingest`] under the legacy
+/// (trusting) regime.
+fn ingest_one<Q: msd_submodular::IncrementalOracle + ?Sized>(
+    session: &mut DynamicSession<'_, DistanceMatrix, Q>,
     pert: impl Into<SessionPerturbation>,
 ) -> BatchReport {
     session
@@ -285,11 +285,11 @@ fn drive_membership<F: SetFunction>(
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::SyncDynamicSession;
+    use msd_core::{ScanPool, SyncDynamicSession};
+    use std::sync::Arc;
 
-    /// Serial session, parallel session and fresh parallel rebuild must
-    /// agree swap for swap (CI forces real chunking through
-    /// `MSD_PARALLEL_THREADS`).
+    /// Serial session, a session pooled on a forced `ScanPool::new(4)` and
+    /// a fresh parallel rebuild must agree swap for swap.
     #[test]
     fn parallel_session_is_bit_identical_across_qualities() {
         for seed in 0..3u64 {
@@ -317,7 +317,8 @@ mod parallel_equivalence {
         let n = problem.ground_size();
         let init = greedy_b(&problem, p, GreedyBConfig::default());
         let mut serial = DynamicSession::new(&problem, &init);
-        let mut parallel = SyncDynamicSession::new_sync(&sync_problem, &init);
+        let mut parallel = SyncDynamicSession::new_sync(&sync_problem, &init)
+            .with_scan_pool(Arc::new(ScanPool::new(4)));
         let mut sol = init.clone();
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(61).wrapping_add(3));
         for step in 0..25 {
@@ -326,10 +327,10 @@ mod parallel_equivalence {
                 mirror.metric_mut().set(u, v, value);
             }
             let a = ingest_one(&mut serial, pert);
-            let b = parallel.apply_parallel(pert.into());
+            let b = ingest_one(&mut parallel, pert);
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
-                (b.outcome, b.refill, b.scan),
+                (b.outcome, b.refills.last().copied(), b.scan),
                 "{label} seed {seed} step {step}: reports diverged"
             );
             let expected = msd_core::parallel::oblivious_update_step(&mirror, &mut sol);

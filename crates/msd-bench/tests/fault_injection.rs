@@ -3,7 +3,7 @@
 //! / negative distances and weights, diagonal rewrites, out-of-range ids,
 //! duplicate arrivals, departures of absent elements, weight updates on
 //! families that do not support them) at a ~10% per-entry rate, and
-//! driven through [`DynamicSession::try_apply_batch`] across all four
+//! driven through strict [`DynamicSession::ingest`] across all four
 //! quality families, serial and under a forced 4-thread
 //! [`msd_core::ScanPool`].
 //!
@@ -23,12 +23,14 @@
 //!   frontend that never saw the poisoner, and [`ServingFrontend::recover`]
 //!   restores the quarantined tenant to its last good checkpoint.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use msd_core::{
-    greedy_b, Batch, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig,
-    PerturbationError, SessionError, SessionPerturbation, Validation,
+    greedy_b, Batch, DiversificationProblem, DynamicSession, ElementId, GraphPerturbation,
+    GreedyBConfig, PerturbationError, SessionError, SessionPerturbation, Validation,
 };
 use msd_data::SyntheticConfig;
-use msd_metric::DistanceMatrix;
+use msd_metric::{DistanceMatrix, DynamicGraphMetric, WeightedGraph};
 use msd_submodular::{
     CoverageFunction, FacilityLocationFunction, IncrementalOracle, MixtureFunction,
     ModularFunction, SetFunction,
@@ -244,7 +246,7 @@ fn salted_batch(
     (batch, first_bad, local)
 }
 
-/// Drives `batches` salted batches through `try_apply_batch` and a mirror
+/// Drives `batches` salted batches through strict `ingest` and a mirror
 /// session that only sees the clean ones; asserts rejection indices,
 /// no-mutation-on-rejection, and live/mirror bit-identity after every
 /// batch.
@@ -368,8 +370,8 @@ fn salted_scripts_leave_sessions_bit_identical_on_mixture() {
     }
 }
 
-/// Forced-chunking counterpart of [`drive_family`]: the live session runs
-/// `try_apply_batch_parallel` under an explicit 4-thread pool, the mirror
+/// Forced-chunking counterpart of [`drive_family`]: the live session
+/// holds an explicit 4-thread pool (`with_scan_pool`), the mirror
 /// stays serial — validation, rollback and results must be bit-identical
 /// to the serial path for any pool.
 #[cfg(feature = "parallel")]
@@ -400,7 +402,7 @@ fn drive_family_parallel<F: SetFunction + Sync>(
             Some(expect_idx) => {
                 let before = fingerprint(&live, n);
                 let err = live
-                    .try_apply_batch_parallel(&batch)
+                    .ingest(&batch[..])
                     .expect_err("a salted batch must be rejected");
                 let SessionError::Rejected { index, .. } = err else {
                     panic!("{label} parallel: unexpected error shape {err:?}");
@@ -413,7 +415,7 @@ fn drive_family_parallel<F: SetFunction + Sync>(
                 );
             }
             None => {
-                live.try_apply_batch_parallel(&batch)
+                live.ingest(&batch[..])
                     .unwrap_or_else(|e| panic!("{label} parallel: clean batch rejected: {e:?}"));
                 mirror
                     .ingest(Batch::from(&batch[..]).with_validation(Validation::Legacy))
@@ -508,6 +510,408 @@ fn every_malformed_shape_is_observed_and_classified() {
     // departure-of-absent and unsupported-weight paths are covered by the
     // family drivers above.
     assert_eq!(seen.len(), 5, "rejection coverage shrank: {seen:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Graph payload: salted edge-update batches over a DynamicGraphMetric.
+// ---------------------------------------------------------------------------
+
+/// Undirected edge key, endpoints ascending.
+fn edge_key(u: ElementId, v: ElementId) -> (ElementId, ElementId) {
+    (u.min(v), u.max(v))
+}
+
+/// `true` when the edge set (minus `skip`) connects all `n` vertices.
+fn graph_connected(
+    n: usize,
+    edges: &BTreeMap<(ElementId, ElementId), f64>,
+    skip: Option<(ElementId, ElementId)>,
+) -> bool {
+    let mut adj = vec![Vec::new(); n];
+    for &(u, v) in edges.keys().filter(|&&e| Some(e) != skip) {
+        adj[u as usize].push(v as usize);
+        adj[v as usize].push(u as usize);
+    }
+    let mut seen = vec![false; n];
+    let mut stack = vec![0usize];
+    seen[0] = true;
+    while let Some(x) = stack.pop() {
+        for &y in &adj[x] {
+            if !seen[y] {
+                seen[y] = true;
+                stack.push(y);
+            }
+        }
+    }
+    seen.into_iter().all(|b| b)
+}
+
+/// The simulated state a graph batch executes against: the edge set and
+/// the availability mask.
+#[derive(Clone)]
+struct GraphSim {
+    edges: BTreeMap<(ElementId, ElementId), f64>,
+    mask: Vec<bool>,
+}
+
+impl GraphSim {
+    fn commit(&mut self, batch: &[GraphPerturbation]) {
+        for &p in batch {
+            match p {
+                GraphPerturbation::SetEdge { u, v, weight } => {
+                    self.edges.insert(edge_key(u, v), weight);
+                }
+                GraphPerturbation::RemoveEdge { u, v } => {
+                    self.edges.remove(&edge_key(u, v));
+                }
+                GraphPerturbation::Arrive { u } => self.mask[u as usize] = true,
+                GraphPerturbation::Depart { u } => self.mask[u as usize] = false,
+                GraphPerturbation::SetWeight { .. } => {}
+            }
+        }
+    }
+}
+
+/// A connected random graph with bridges (a random spanning tree plus
+/// `n / 2` chords), dyadic weights, and modular dyadic quality.
+fn graph_problem(
+    seed: u64,
+    n: usize,
+) -> DiversificationProblem<DynamicGraphMetric, ModularFunction> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6EA9);
+    let mut g = WeightedGraph::new(n);
+    let mut seen = BTreeSet::new();
+    for v in 1..n as ElementId {
+        let u = rng.gen_range(0..v);
+        g.add_edge(u, v, msd_data::dyadic_weight(&mut rng));
+        seen.insert(edge_key(u, v));
+    }
+    while seen.len() < n - 1 + n / 2 {
+        let (u, v) = (
+            rng.gen_range(0..n as ElementId),
+            rng.gen_range(0..n as ElementId),
+        );
+        if u != v && seen.insert(edge_key(u, v)) {
+            g.add_edge(u, v, msd_data::dyadic_weight(&mut rng));
+        }
+    }
+    let metric = DynamicGraphMetric::from_graph(&g).expect("spanning tree connects");
+    let weights = (0..n)
+        .map(|_| f64::from(rng.gen_range(0..64u32)) / 64.0)
+        .collect();
+    DiversificationProblem::new(metric, ModularFunction::new(weights), 0.25)
+}
+
+/// One valid graph perturbation against the simulated state (removals only
+/// of edges whose loss keeps the graph connected).
+fn valid_graph_entry(rng: &mut StdRng, n: usize, sim: &GraphSim) -> GraphPerturbation {
+    loop {
+        match rng.gen_range(0..6u32) {
+            0 => {
+                let absent: Vec<ElementId> = (0..n as ElementId)
+                    .filter(|&u| !sim.mask[u as usize])
+                    .collect();
+                if let Some(&u) = absent.get(rng.gen_range(0..absent.len().max(1))) {
+                    return GraphPerturbation::Arrive { u };
+                }
+            }
+            1 => {
+                let resident: Vec<ElementId> = (0..n as ElementId)
+                    .filter(|&u| sim.mask[u as usize])
+                    .collect();
+                if let Some(&u) = resident.get(rng.gen_range(0..resident.len().max(1))) {
+                    return GraphPerturbation::Depart { u };
+                }
+            }
+            2 => {
+                return GraphPerturbation::SetWeight {
+                    u: rng.gen_range(0..n) as ElementId,
+                    value: rng.gen_range(0.0..1.0),
+                }
+            }
+            3 => {
+                let removable: Vec<(ElementId, ElementId)> = sim
+                    .edges
+                    .keys()
+                    .copied()
+                    .filter(|&e| graph_connected(n, &sim.edges, Some(e)))
+                    .collect();
+                if let Some(&(u, v)) = removable.get(rng.gen_range(0..removable.len().max(1))) {
+                    return GraphPerturbation::RemoveEdge { u, v };
+                }
+            }
+            _ => {
+                let u = rng.gen_range(0..n) as ElementId;
+                let mut v = rng.gen_range(0..n) as ElementId;
+                while v == u {
+                    v = rng.gen_range(0..n) as ElementId;
+                }
+                return GraphPerturbation::SetEdge {
+                    u,
+                    v,
+                    weight: msd_data::dyadic_weight(rng),
+                };
+            }
+        }
+    }
+}
+
+/// Kinds of malformed graph entries, in [`malformed_graph_entry`]'s order.
+const GRAPH_FAULTS: [&str; 6] = [
+    "NaN edge weight",
+    "negative edge weight",
+    "self-loop",
+    "out-of-range endpoint",
+    "missing edge",
+    "disconnecting removal",
+];
+
+/// One malformed graph perturbation against the simulated state, with its
+/// [`GRAPH_FAULTS`] kind. The first four are caught by the static pass;
+/// the last two only at ingest time, by the metric.
+fn malformed_graph_entry(rng: &mut StdRng, n: usize, sim: &GraphSim) -> (GraphPerturbation, usize) {
+    loop {
+        let kind = rng.gen_range(0..GRAPH_FAULTS.len());
+        let u = rng.gen_range(0..n) as ElementId;
+        let v = (u + 1 + rng.gen_range(0..n as ElementId - 1)) % n as ElementId;
+        let entry = match kind {
+            0 => GraphPerturbation::SetEdge {
+                u,
+                v,
+                weight: f64::NAN,
+            },
+            1 => GraphPerturbation::SetEdge { u, v, weight: -0.5 },
+            2 => GraphPerturbation::SetEdge {
+                u,
+                v: u,
+                weight: 1.0,
+            },
+            3 => GraphPerturbation::SetEdge {
+                u: n as ElementId,
+                v,
+                weight: 1.0,
+            },
+            4 if !sim.edges.contains_key(&edge_key(u, v)) => GraphPerturbation::RemoveEdge { u, v },
+            5 => {
+                let bridges: Vec<(ElementId, ElementId)> = sim
+                    .edges
+                    .keys()
+                    .copied()
+                    .filter(|&e| !graph_connected(n, &sim.edges, Some(e)))
+                    .collect();
+                let Some(&(u, v)) = bridges.get(rng.gen_range(0..bridges.len().max(1))) else {
+                    continue;
+                };
+                GraphPerturbation::RemoveEdge { u, v }
+            }
+            _ => continue,
+        };
+        return (entry, kind);
+    }
+}
+
+/// One graph batch salted at 10% with at most one malformed entry (so the
+/// first bad index is unambiguous under both regimes). Returns the batch,
+/// the malformed entry's index and kind, if any.
+fn salted_graph_batch(
+    rng: &mut StdRng,
+    n: usize,
+    sim: &GraphSim,
+) -> (Vec<GraphPerturbation>, Option<(usize, usize)>) {
+    let len = rng.gen_range(1..7usize);
+    let mut local = sim.clone();
+    let mut batch = Vec::with_capacity(len);
+    let mut bad = None;
+    for idx in 0..len {
+        if bad.is_none() && rng.gen_bool(0.10) {
+            let (entry, kind) = malformed_graph_entry(rng, n, &local);
+            batch.push(entry);
+            bad = Some((idx, kind));
+        } else {
+            let entry = valid_graph_entry(rng, n, &local);
+            local.commit(&[entry]);
+            batch.push(entry);
+        }
+    }
+    (batch, bad)
+}
+
+/// Bit-level graph session state: APSP triangle and edge-weight bits,
+/// solution, availability mask, objective bits, stability flag.
+type GraphFingerprint = (
+    Vec<u64>,
+    Vec<(ElementId, ElementId, u64)>,
+    Vec<ElementId>,
+    Vec<bool>,
+    u64,
+    bool,
+);
+
+fn graph_fingerprint<Q: IncrementalOracle + ?Sized>(
+    s: &DynamicSession<'_, DynamicGraphMetric, Q>,
+    n: usize,
+) -> GraphFingerprint {
+    let mut edges: Vec<(ElementId, ElementId, u64)> = s
+        .metric()
+        .edges()
+        .into_iter()
+        .map(|(u, v, w)| (u.min(v), u.max(v), w.to_bits()))
+        .collect();
+    edges.sort_unstable();
+    (
+        s.metric()
+            .matrix()
+            .triangle()
+            .iter()
+            .map(|d| d.to_bits())
+            .collect(),
+        edges,
+        s.solution().to_vec(),
+        (0..n as ElementId).map(|u| s.is_active(u)).collect(),
+        s.objective().to_bits(),
+        s.is_stable(),
+    )
+}
+
+/// Drives salted graph batches through `live` under `validation` next to
+/// a serial mirror. [`Validation::Strict`]: a poisoned batch is rejected
+/// whole at its bad index with the session bit-identical to before, and
+/// the mirror sees only the clean batches. [`Validation::Legacy`]: a
+/// poisoned batch partial-commits its valid prefix, reporting the prefix
+/// length and exactly the refills the mirror's ingest of that prefix
+/// reports, and the mirror sees only the prefixes. Either way live and
+/// mirror stay bit-identical after every stabilized batch. Returns how
+/// often each [`GRAPH_FAULTS`] kind was injected.
+fn drive_graph_family<Q: IncrementalOracle + ?Sized>(
+    label: &str,
+    validation: Validation,
+    problem: &DiversificationProblem<DynamicGraphMetric, ModularFunction>,
+    mut live: DynamicSession<'_, DynamicGraphMetric, Q>,
+    seed: u64,
+    batches: usize,
+) -> [usize; GRAPH_FAULTS.len()] {
+    let n = problem.ground_size();
+    let mut mirror = DynamicSession::new(problem, live.solution());
+    live.update_until_stable(STAB);
+    mirror.update_until_stable(STAB);
+    let mut sim = GraphSim {
+        edges: problem
+            .metric()
+            .edges()
+            .into_iter()
+            .map(|(u, v, w)| (edge_key(u, v), w))
+            .collect(),
+        mask: vec![true; n],
+    };
+    let mut kinds = [0usize; GRAPH_FAULTS.len()];
+    let mut clean = 0usize;
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(151).wrapping_add(29));
+    for batch_idx in 0..batches {
+        let (batch, bad) = salted_graph_batch(&mut rng, n, &sim);
+        let ctx = format!("{label} {validation:?} seed {seed} batch {batch_idx} ({batch:?})");
+        let before = graph_fingerprint(&live, n);
+        let outcome = live.ingest(Batch::from(&batch[..]).with_validation(validation));
+        match (bad, validation) {
+            (None, _) => {
+                outcome.unwrap_or_else(|e| panic!("{ctx}: clean batch failed: {e:?}"));
+                mirror
+                    .ingest(Batch::from(&batch[..]).with_validation(Validation::Legacy))
+                    .expect("a clean batch ingests");
+                sim.commit(&batch);
+                clean += 1;
+            }
+            (Some((index, kind)), Validation::Strict) => {
+                kinds[kind] += 1;
+                let err = outcome.expect_err("a salted batch must be rejected");
+                let SessionError::Rejected { index: got, .. } = err else {
+                    panic!("{ctx}: strict batches never partial-commit: {err:?}");
+                };
+                assert_eq!(got, index, "{ctx}: wrong rejection index");
+                assert_eq!(
+                    graph_fingerprint(&live, n),
+                    before,
+                    "{ctx}: rejection mutated the session"
+                );
+            }
+            (Some((index, kind)), Validation::Legacy) => {
+                kinds[kind] += 1;
+                let err = outcome.expect_err("a salted batch must stop");
+                let SessionError::PartialCommit(partial) = err else {
+                    panic!("{ctx}: trusting graph batches partial-commit: {err:?}");
+                };
+                let prefix = &batch[..index];
+                let expected = mirror
+                    .ingest(Batch::from(prefix).with_validation(Validation::Legacy))
+                    .expect("a valid prefix ingests");
+                assert_eq!(partial.ingested, index, "{ctx}: wrong ingested count");
+                assert_eq!(partial.refills, expected.refills, "{ctx}: wrong refills");
+                sim.commit(prefix);
+            }
+        }
+        live.update_until_stable(STAB);
+        mirror.update_until_stable(STAB);
+        assert_eq!(
+            graph_fingerprint(&live, n),
+            graph_fingerprint(&mirror, n),
+            "{ctx}: live session diverged from its mirror"
+        );
+    }
+    assert!(
+        clean > 0 && kinds.iter().sum::<usize>() > 0,
+        "{label} seed {seed}: the script must mix poisoned and clean batches"
+    );
+    kinds
+}
+
+/// Runs both regimes over a few seeds with `open` building the live
+/// session, and checks every malformed kind was exercised.
+fn drive_graph_regimes<'p, Q: IncrementalOracle + ?Sized + 'p>(
+    label: &str,
+    problems: &'p [DiversificationProblem<DynamicGraphMetric, ModularFunction>],
+    open: impl Fn(
+        &'p DiversificationProblem<DynamicGraphMetric, ModularFunction>,
+        &[ElementId],
+    ) -> DynamicSession<'p, DynamicGraphMetric, Q>,
+) {
+    for validation in [Validation::Strict, Validation::Legacy] {
+        let mut seen = [0usize; GRAPH_FAULTS.len()];
+        for (seed, problem) in problems.iter().enumerate() {
+            let init = greedy_b(problem, P, GreedyBConfig::default());
+            let live = open(problem, &init);
+            let kinds = drive_graph_family(label, validation, problem, live, seed as u64, 60);
+            for (total, k) in seen.iter_mut().zip(kinds) {
+                *total += k;
+            }
+        }
+        for (kind, &count) in GRAPH_FAULTS.iter().zip(&seen) {
+            assert!(count > 0, "{label} {validation:?}: no {kind} was injected");
+        }
+    }
+}
+
+fn graph_problems() -> Vec<DiversificationProblem<DynamicGraphMetric, ModularFunction>> {
+    (0..3u64)
+        .map(|seed| graph_problem(seed + 500, 24))
+        .collect()
+}
+
+#[test]
+fn salted_graph_batches_reject_whole_or_partial_commit() {
+    drive_graph_regimes("graph", &graph_problems(), |problem, init| {
+        DynamicSession::new(problem, init)
+    });
+}
+
+#[cfg(feature = "parallel")]
+#[test]
+fn salted_graph_batches_reject_whole_or_partial_commit_forced_parallel() {
+    use msd_core::ScanPool;
+    use std::sync::Arc;
+
+    let pool = Arc::new(ScanPool::new(4));
+    drive_graph_regimes("graph pooled", &graph_problems(), |problem, init| {
+        DynamicSession::new_sync(problem, init).with_scan_pool(Arc::clone(&pool))
+    });
 }
 
 mod serving_faults {
@@ -693,8 +1097,8 @@ mod serving_faults {
                     )
                     .expect("poisoner submits while not quarantined");
             }
-            let rh = frontend.query_parallel(healthy);
-            let _ = frontend.query_parallel(poisoner);
+            let rh = frontend.query(healthy);
+            let _ = frontend.query(poisoner);
             let rm = mirror.query(healthy_mirror);
             assert_eq!(
                 rh.solution, rm.solution,

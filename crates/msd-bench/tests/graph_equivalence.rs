@@ -16,13 +16,13 @@
 //!   are patched from the metric's [`EdgeUpdateReport`]s in O(Δ))
 //!   chooses, swap for swap, what the slice-recomputing naive reference
 //!   chooses against the Floyd–Warshall-rebuilt twin — per update and
-//!   for whole bursts through `apply_graph_batch`, serial and (with
-//!   `--features parallel`, forced chunking via `MSD_PARALLEL_THREADS`)
-//!   parallel.
+//!   for whole bursts through a trusting graph-payload `ingest`, serial
+//!   and (with `--features parallel`) on a forced `ScanPool::new(4)`.
 
 use msd_bench::naive::session_stabilize_naive;
 use msd_core::{
-    greedy_b, DiversificationProblem, DynamicSession, ElementId, GraphPerturbation, GreedyBConfig,
+    greedy_b, Batch, DiversificationProblem, DynamicSession, ElementId, GraphPerturbation,
+    GreedyBConfig, Validation,
 };
 use msd_metric::{
     DynamicGraphMetric, EdgePerturbableMetric, Metric, RepairStrategy, WeightedGraph,
@@ -231,6 +231,12 @@ fn degenerate_graphs() {
     assert_eq!(metric.num_edges(), 1);
 }
 
+/// A trusting ([`Validation::Legacy`]) graph batch: the partial-commit
+/// contract, no validation pass and no checkpoint.
+fn legacy(burst: &[GraphPerturbation]) -> Batch<GraphPerturbation> {
+    Batch::from(burst).with_validation(Validation::Legacy)
+}
+
 /// Dyadic modular quality so every objective/gain sum is exact and the
 /// session-vs-naive comparison is bit-for-bit even on ties.
 fn dyadic_quality(rng: &mut StdRng, n: usize) -> ModularFunction {
@@ -241,7 +247,7 @@ fn dyadic_quality(rng: &mut StdRng, n: usize) -> ModularFunction {
 /// and, in lockstep, through the naive reference (Floyd–Warshall rebuild
 /// of the mirrored graph + slice-recomputed stabilization); asserts
 /// identical swaps and solutions at every step. `batch_size > 1` groups
-/// the operations into `apply_graph_batch` bursts followed by
+/// the operations into trusting `ingest` bursts followed by
 /// stabilization, against the deferred-ingestion naive stabilization.
 fn assert_graph_session_matches_naive(seed: u64, n: usize, p: usize, steps: usize, batch: usize) {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(131) + 17);
@@ -277,7 +283,7 @@ fn assert_graph_session_matches_naive(seed: u64, n: usize, p: usize, steps: usiz
             }
         }
         let report = session
-            .apply_graph_batch(&burst)
+            .ingest(legacy(&burst))
             .expect("disconnecting removals are filtered");
         let twin = DiversificationProblem::new(rebuilt(&mirror), quality.clone(), lambda);
         // The session's swaps: the batch's (at most one) plus the
@@ -332,12 +338,13 @@ fn graph_session_matches_naive_in_bursts() {
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
-    use msd_core::SyncDynamicSession;
+    use msd_core::{ScanPool, SyncDynamicSession};
+    use std::sync::Arc;
 
-    /// The burst driver again through `apply_graph_batch_parallel`
-    /// (chunked full scans under `MSD_PARALLEL_THREADS` forcing): swaps,
-    /// solutions and matrices must stay bit-identical to the naive
-    /// reference — hence to the serial session.
+    /// The burst driver again on a session holding a forced
+    /// `ScanPool::new(4)` (chunked full scans): swaps, solutions and
+    /// matrices must stay bit-identical to the naive reference — hence
+    /// to the serial session.
     #[test]
     fn parallel_graph_session_matches_naive() {
         for seed in 0..3u64 {
@@ -349,7 +356,8 @@ mod parallel {
             let quality = dyadic_quality(&mut rng, n);
             let problem = DiversificationProblem::new(metric, quality.clone(), 0.25);
             let init = greedy_b(&problem, p, GreedyBConfig::default());
-            let mut session = SyncDynamicSession::new_sync(&problem, &init);
+            let mut session = SyncDynamicSession::new_sync(&problem, &init)
+                .with_scan_pool(Arc::new(ScanPool::new(4)));
             session.update_until_stable(8 * p);
             let active = vec![true; n];
             let mut sol = session.solution().to_vec();
@@ -369,9 +377,7 @@ mod parallel {
                         _ => unreachable!(),
                     }
                 }
-                let report = session
-                    .apply_graph_batch_parallel(&burst)
-                    .expect("filtered");
+                let report = session.ingest(legacy(&burst)).expect("filtered");
                 let twin = DiversificationProblem::new(rebuilt(&mirror), quality.clone(), 0.25);
                 let mut session_swaps: Vec<(ElementId, ElementId)> = Vec::new();
                 session_swaps.extend(report.outcome.swap);

@@ -1,6 +1,6 @@
 //! Equivalence suite for concurrent multi-tenant serving: the
-//! fan-out/join frontend ([`ServingFrontend::query_many`] /
-//! `query_many_parallel`) must be **bit-identical** to the serial
+//! fan-out/join frontend ([`ServingFrontend::query_many`], fanned out
+//! on a pooled frontend) must be **bit-identical** to the serial
 //! per-tenant query loop under interleaved, deliberately conflicting
 //! rewrites from k ≥ 4 tenants; tenants spilled through
 //! [`SharedServingFrontend::evict`] and re-attached must be
@@ -8,8 +8,8 @@
 //! base weight vector through copy-on-write overlays must match tenants
 //! owning a full [`ModularFunction`] each.
 //!
-//! Runs under the default multi-threaded test harness: the parallel
-//! variant takes an explicit [`msd_core::ScanPool`] instead of mutating
+//! Runs under the default multi-threaded test harness: the pooled
+//! variant takes an explicit `msd_core::ScanPool` instead of mutating
 //! the process environment.
 
 use std::sync::Arc;
@@ -146,8 +146,10 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
         .iter()
         .map(|&l| fanned.register_tenant_sync(&quality, l, &init))
         .collect();
-    // The forced pool both chunks every tenant's scans and carries the
-    // fan-out jobs — the join must still be deterministic.
+    // The forced pool carries the fan-out jobs, and every tenant session
+    // holds it too: a scan inside a job runs inline on the job's thread,
+    // a lone query chunks on the pool — the join must still be
+    // deterministic.
     let mut fanned = fanned.with_scan_pool(Arc::new(ScanPool::new(4)));
 
     let mut rng = StdRng::seed_from_u64(717);
@@ -160,7 +162,7 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
             }
         }
         let serial: Vec<_> = lt.iter().map(|&t| looped.query(t)).collect();
-        let joined = fanned.query_many_parallel(&ft);
+        let joined = fanned.query_many(&ft);
         for (t, (j, s)) in joined.iter().zip(serial.iter()).enumerate() {
             assert_bit_identical(j, s, &format!("parallel tenant {t}"), round);
         }
@@ -172,7 +174,7 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
         fanned.submit(tp, p);
     }
     let rs = looped.drain_all();
-    let rp = fanned.drain_all_parallel();
+    let rp = fanned.drain_all();
     assert_eq!(rs.len(), 2);
     assert_eq!(rs.len(), rp.len());
     for (a, b) in rs.iter().zip(rp.iter()) {

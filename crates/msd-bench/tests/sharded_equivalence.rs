@@ -29,16 +29,16 @@
 //!    assertion for the dirty-shard tracking (merge stats), not just a
 //!    perf property.
 //!
-//! With `--features parallel` the whole stream also runs through
-//! [`SyncShardedEngine::apply_batch_parallel`] and must be bit-identical
-//! report for report (CI forces genuine chunking with
-//! `MSD_PARALLEL_THREADS=4`).
+//! With `--features parallel` the whole stream also runs through a
+//! [`SyncShardedEngine`] holding a forced `ScanPool::new(4)` and must be
+//! bit-identical report for report.
 
 use msd_bench::naive::session_stabilize_naive;
 use msd_bench::support::point_instance;
 use msd_core::{
-    distributed_greedy, greedy_b, DistributedConfig, DiversificationProblem, ElementId,
+    distributed_greedy, greedy_b, Batch, DistributedConfig, DiversificationProblem, ElementId,
     GreedyBConfig, MergeStats, PartitionScheme, SessionPerturbation, ShardedConfig, ShardedEngine,
+    Validation,
 };
 use msd_metric::{DistanceMatrix, Metric, PointKernel};
 use msd_submodular::ModularFunction;
@@ -46,6 +46,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const KERNELS: [PointKernel; 2] = [PointKernel::Euclidean, PointKernel::Cosine];
+
+/// A trusting ([`Validation::Legacy`]) engine batch.
+fn legacy(batch: &[SessionPerturbation]) -> Batch {
+    Batch::from(batch).with_validation(Validation::Legacy)
+}
 
 fn sharded_config(machines: usize, scheme: PartitionScheme) -> ShardedConfig {
     ShardedConfig {
@@ -296,7 +301,7 @@ fn drive_stream(
             }
         }
 
-        let report = engine.apply_batch(&batch);
+        let report = engine.ingest(legacy(&batch)).unwrap();
         saw_quiet |= !report.reduce_ran;
         saw_dirty |= !report.dirty_shards.is_empty();
 
@@ -420,11 +425,13 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
             .collect()
     };
     let warm = outside(&engine);
-    engine.apply(SessionPerturbation::SetDistance {
-        u: warm[0],
-        v: warm[1],
-        value: engine.metric().distance(warm[0], warm[1]) * 0.5,
-    });
+    engine
+        .ingest(legacy(&[SessionPerturbation::SetDistance {
+            u: warm[0],
+            v: warm[1],
+            value: engine.metric().distance(warm[0], warm[1]) * 0.5,
+        }]))
+        .unwrap();
 
     // Quiet batch: *lowering* a distance between two same-shard non-union
     // elements can only shrink their swap gains — no proposal can change
@@ -433,11 +440,13 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     let before = engine.solution().to_vec();
     let runs_before = engine.stats().reduce_runs;
     let quiet = outside(&engine);
-    let report = engine.apply(SessionPerturbation::SetDistance {
-        u: quiet[2],
-        v: quiet[3],
-        value: engine.metric().distance(quiet[2], quiet[3]) * 0.5,
-    });
+    let report = engine
+        .ingest(legacy(&[SessionPerturbation::SetDistance {
+            u: quiet[2],
+            v: quiet[3],
+            value: engine.metric().distance(quiet[2], quiet[3]) * 0.5,
+        }]))
+        .unwrap();
     assert!(!report.reduce_ran, "quiet batch must skip the reduce");
     assert!(report.dirty_shards.is_empty());
     assert_eq!(report.perturbed_shards, 1);
@@ -453,10 +462,12 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     // Union-touching batch: a weight rewrite of a union member must
     // re-run the reduce even if no proposal changes.
     let target = engine.union()[0];
-    let report = engine.apply(SessionPerturbation::SetWeight {
-        u: target,
-        value: 40.0,
-    });
+    let report = engine
+        .ingest(legacy(&[SessionPerturbation::SetWeight {
+            u: target,
+            value: 40.0,
+        }]))
+        .unwrap();
     assert!(report.reduce_ran, "union weight rewrite must re-merge");
     assert_eq!(engine.stats().reduce_runs, runs_before + 1);
     assert!(engine.stats().last_reduce_ran);
@@ -471,11 +482,12 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::SyncShardedEngine;
+    use msd_core::{ScanPool, SyncShardedEngine};
+    use std::sync::Arc;
 
-    /// The serial engine and the forced-chunking parallel engine must
+    /// The serial engine and the forced-chunking pooled engine must
     /// produce bit-identical reports, proposals and merged sets on the
-    /// same stream (CI sets `MSD_PARALLEL_THREADS=4`).
+    /// same stream.
     #[test]
     fn parallel_engine_is_bit_identical_on_shared_streams() {
         for kernel in KERNELS {
@@ -483,7 +495,8 @@ mod parallel_equivalence {
             let sync_problem = point_instance(950, 32, 4, kernel);
             let config = sharded_config(3, PartitionScheme::RoundRobin);
             let mut serial = ShardedEngine::new(&problem, 5, config);
-            let mut parallel = SyncShardedEngine::new_sync(&sync_problem, 5, config);
+            let mut parallel = SyncShardedEngine::new_sync(&sync_problem, 5, config)
+                .with_scan_pool(Arc::new(ScanPool::new(4)));
             assert_eq!(serial.solution(), parallel.solution());
             let mut rng = StdRng::seed_from_u64(0xD157 ^ kernel as u64);
             for batch_idx in 0..12 {
@@ -513,8 +526,8 @@ mod parallel_equivalence {
                         }
                     })
                     .collect();
-                let a = serial.apply_batch(&batch);
-                let b = parallel.apply_batch_parallel(&batch);
+                let a = serial.ingest(legacy(&batch)).unwrap();
+                let b = parallel.ingest(legacy(&batch)).unwrap();
                 assert_eq!(a, b, "{kernel:?} batch {batch_idx}: reports diverged");
                 assert_eq!(serial.proposals(), parallel.proposals());
                 assert_eq!(serial.solution(), parallel.solution());

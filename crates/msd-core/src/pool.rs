@@ -30,7 +30,15 @@
 //! work size) — that is how the equivalence suites exercise genuinely
 //! chunked execution on few-core machines. The ambient global pool keeps
 //! the hardware heuristic and the cost-weighted work floor.
+//!
+//! **Nesting runs inline.** Work a pool's own job submits back to that
+//! pool — a tenant's scan inside a serving fan-out job, say — runs on the
+//! submitting thread as one chunk instead of queueing behind the very
+//! jobs it would wait for (workers do not steal while blocked, so queueing
+//! could deadlock). A thread-local marker names the pool whose job a
+//! thread is running.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -56,6 +64,13 @@ pub(crate) const MIN_PAR_OPS: usize = 1 << 21;
 /// outweighs any scan for realistic `n`); also bounds a misconfigured
 /// `MSD_PARALLEL_THREADS`.
 const MAX_THREADS: usize = 64;
+
+thread_local! {
+    /// Address of the [`PoolShared`] whose job this thread is running (0
+    /// when none): set for a worker's whole life, and on a submitting
+    /// thread while it runs its own share of a scan or fan-out.
+    static RUNNING_JOB_OF: Cell<usize> = const { Cell::new(0) };
+}
 
 /// A type-erased chunk job. Scans enqueue jobs whose closures borrow the
 /// caller's stack; the lifetime is erased to `'static` only because
@@ -120,14 +135,15 @@ impl ScanPool {
     /// parallelism otherwise. With the env override the pool is forced
     /// (always chunks — how CI exercises the chunk-merge discipline on
     /// few-core runners without any in-process `set_var`); without it,
-    /// scans below the cost-weighted work floor stay serial.
-    pub fn global() -> &'static ScanPool {
-        static GLOBAL: OnceLock<ScanPool> = OnceLock::new();
+    /// scans below the cost-weighted work floor stay serial. Shared as an
+    /// `Arc`, so a session or frontend can hold it like any explicit pool.
+    pub fn global() -> &'static Arc<ScanPool> {
+        static GLOBAL: OnceLock<Arc<ScanPool>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let forced = std::env::var("MSD_PARALLEL_THREADS")
                 .ok()
                 .and_then(|s| s.parse::<usize>().ok());
-            match forced {
+            Arc::new(match forced {
                 Some(t) => Self::build(t, true),
                 None => {
                     let hw = std::thread::available_parallelism()
@@ -135,7 +151,7 @@ impl ScanPool {
                         .unwrap_or(1);
                     Self::build(hw.min(16), false)
                 }
-            }
+            })
         })
     }
 
@@ -182,6 +198,14 @@ impl ScanPool {
     /// global pool), bypassing the work floor.
     pub fn is_forced(&self) -> bool {
         self.forced
+    }
+
+    /// `true` when the calling thread is running one of this pool's jobs,
+    /// so work it submits here must run inline.
+    fn nested(&self) -> bool {
+        self.shared
+            .as_ref()
+            .is_some_and(|s| RUNNING_JOB_OF.get() == Arc::as_ptr(s) as usize)
     }
 
     /// `true` when a scan of `ops` estimated weighted scalar operations
@@ -257,14 +281,15 @@ impl ScanPool {
     /// Runs `scan` over the chunk grid for `n` candidates: `None` when
     /// the scan should run inline as one chunk, otherwise the per-chunk
     /// results in index order. Chunk 0 runs on the calling thread; the
-    /// rest are executed by the persistent workers.
+    /// rest are executed by the persistent workers. A nested scan (see
+    /// the module docs) runs inline.
     fn run_chunked<T, S>(&self, n: usize, scan: &S) -> Option<Vec<Option<T>>>
     where
         T: Send,
         S: Fn(usize, usize) -> Option<T> + Sync,
     {
         let chunks = self.num_chunks(n);
-        if chunks <= 1 || self.shared.is_none() {
+        if chunks <= 1 || self.shared.is_none() || self.nested() {
             return None;
         }
         let chunk = n.div_ceil(chunks);
@@ -298,14 +323,14 @@ impl ScanPool {
     /// before returning, with the first job on the calling thread and the
     /// rest distributed over the persistent workers under the same scoped
     /// latch/panic discipline as [`run_tasks`](Self::run_tasks). On a
-    /// single-thread pool (no workers) the jobs run inline in order.
+    /// single-thread pool (no workers), or when submitted from inside one
+    /// of this pool's jobs, the jobs run inline in order.
     ///
-    /// Jobs must be *independent* — each touches disjoint state — and must
-    /// not submit scans to this same pool (workers do not steal while a
-    /// job blocks on the latch, so nested submission can deadlock).
+    /// Jobs must be *independent* — each touches disjoint state. Scans
+    /// they submit to this same pool run inline on the job's thread.
     pub(crate) fn run_jobs<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         let mut jobs = jobs;
-        if self.shared.is_none() || jobs.len() <= 1 {
+        if self.shared.is_none() || jobs.len() <= 1 || self.nested() {
             for job in jobs {
                 job();
             }
@@ -360,7 +385,9 @@ impl ScanPool {
         // function before the latch drains would free the scoped result
         // slots while workers can still write them. The panic is re-raised
         // only after every queued job has finished.
+        let outer = RUNNING_JOB_OF.replace(Arc::as_ptr(shared) as usize);
         let inline_outcome = catch_unwind(AssertUnwindSafe(inline));
+        RUNNING_JOB_OF.set(outer);
         let mut st = latch.state.lock().expect("latch poisoned");
         while st.0 > 0 {
             st = latch.done.wait(st).expect("latch poisoned");
@@ -377,6 +404,7 @@ impl ScanPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
+    RUNNING_JOB_OF.set(std::ptr::from_ref(shared) as usize);
     loop {
         let job = {
             let mut state = shared.state.lock().expect("pool state poisoned");
@@ -510,6 +538,47 @@ mod tests {
         assert!(boom.is_err(), "inline panic must propagate to the caller");
         let best = pool.scan_chunks(10, |lo, hi| chunk_argmax(lo, hi, |i| i as f64), |&(_, s)| s);
         assert_eq!(best, Some((9, 9.0)));
+    }
+
+    #[test]
+    fn scans_nested_in_jobs_of_the_same_pool_run_inline() {
+        // Four fan-out jobs on a one-worker pool, each submitting a scan
+        // and a fold back to that pool: queued nested chunks would wait
+        // behind the blocked jobs forever. Run off-thread so a regression
+        // fails the test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ScanPool::new(2);
+            let n = 500;
+            let score = |i: usize| ((i * 7919) % 1009) as f64;
+            let serial = (chunk_argmax(0, n, score), (0..n).collect::<Vec<_>>());
+            let mut equal = [false; 4];
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = equal
+                .iter_mut()
+                .map(|slot| {
+                    let (pool, serial) = (&pool, &serial);
+                    Box::new(move || {
+                        let best =
+                            pool.scan_chunks(n, |lo, hi| chunk_argmax(lo, hi, score), |&(_, s)| s);
+                        let folded = pool.fold_chunks(
+                            n,
+                            |lo, hi| (lo..hi).collect::<Vec<_>>(),
+                            |mut a, b| {
+                                a.extend(b);
+                                a
+                            },
+                        );
+                        *slot = (best, folded) == *serial;
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run_jobs(jobs);
+            let _ = done.send(equal.iter().all(|&e| e));
+        });
+        let equal = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("nested submission deadlocked");
+        assert!(equal, "nested scans must equal the serial scan");
     }
 
     #[test]

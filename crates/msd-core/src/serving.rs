@@ -27,13 +27,15 @@
 //! [`ServingFrontend::query_many`] answers a set of distinct tenants in
 //! one call and [`ServingFrontend::drain_all`] runs a flush cycle over
 //! every tenant with queued work. Because tenant sessions share no
-//! mutable state, the `parallel`-feature `query_many_parallel` /
-//! `drain_all_parallel` variants partition the requested tenants into
-//! independent jobs on a persistent `ScanPool` and join
-//! the responses in request order — bit-identical to the serial
-//! per-tenant loop (each job runs the identical serial flush +
-//! stabilize body; the pool only schedules *which thread* serves a
-//! tenant, never what it computes).
+//! mutable state, a frontend holding a scan pool (`parallel` feature,
+//! `with_scan_pool`) partitions the requested tenants into independent
+//! jobs on that persistent `ScanPool` and joins the responses in request
+//! order — bit-identical to the serial per-tenant loop (each job runs the
+//! identical flush + stabilize body; the pool only schedules *which
+//! thread* serves a tenant, never what it computes). Every tenant session
+//! holds the same pool, so a lone [`ServingFrontend::query`] runs its
+//! full scans chunked on it, while a scan inside a fan-out job runs
+//! inline on the job's thread.
 //!
 //! # Shared weight overlays and tenant eviction
 //!
@@ -188,8 +190,8 @@ use msd_metric::{Metric, OverlayMetric, PerturbableMetric};
 use msd_submodular::{IncrementalOracle, SetFunction, SharedModularOracle};
 
 use crate::session::{
-    BatchReport, DynamicSession, SessionCheckpoint, SessionError, SessionPerturbation,
-    SyncDynamicSession,
+    Batch, BatchReport, DynamicSession, SessionCheckpoint, SessionError, SessionPerturbation,
+    SyncDynamicSession, Validation,
 };
 use crate::solution::SolutionState;
 use crate::ElementId;
@@ -257,7 +259,7 @@ pub enum ServingRequest {
         /// The perturbation to queue.
         perturbation: SessionPerturbation,
     },
-    /// Flush `tenant`'s queued perturbations (one `apply_batch`),
+    /// Flush `tenant`'s queued perturbations (one batch `ingest`),
     /// stabilize, and read the maintained solution.
     Query {
         /// Target session.
@@ -546,7 +548,7 @@ struct Tenant<'q, M: Metric, Q: IncrementalOracle + ?Sized> {
 /// Generic over the boxed oracle type exactly like [`DynamicSession`]:
 /// the default serves serial sessions, [`SyncServingFrontend`] serves
 /// thread-shareable ones (enabling the `parallel`-feature
-/// `query_parallel` entry point).
+/// `with_scan_pool`).
 pub struct ServingFrontend<
     'q,
     M: Metric,
@@ -563,15 +565,28 @@ pub struct ServingFrontend<
     policy: AdmissionPolicy,
     /// Injected time source for the SLO/rate-limit admission bounds.
     clock: Option<Arc<dyn Clock + Send + Sync>>,
-    /// Pool distributing fan-out jobs (tenant-per-job); per-session
-    /// scan parallelism is routed separately via the sessions' own
-    /// pools.
+    /// The pool installed by `with_scan_pool`: every tenant session
+    /// scans on it, and fan-out jobs run on it.
     #[cfg(feature = "parallel")]
-    fanout_pool: Option<Arc<crate::pool::ScanPool>>,
+    fanout: Option<FanOut<'q, M, Q>>,
 }
 
+/// A frontend's scan pool, as the two things its generic code cannot
+/// build without the `Send`/`Sync` bounds `with_scan_pool` checked: the
+/// pooled scan handed to every tenant session, and the fan-out join.
+#[cfg(feature = "parallel")]
+struct FanOut<'q, M: Metric, Q: IncrementalOracle + ?Sized> {
+    scan: crate::session::PooledScan<'q, OverlayMetric<Arc<M>>, Q>,
+    join: FanOutJoin<'q, M, Q>,
+}
+
+/// [`ServingFrontend::query_many`]'s fan-out over a pool.
+#[cfg(feature = "parallel")]
+type FanOutJoin<'q, M, Q> =
+    fn(&mut ServingFrontend<'q, M, Q>, &[TenantId], &crate::pool::ScanPool) -> Vec<QueryResponse>;
+
 /// [`ServingFrontend`] whose tenant oracles are shareable across threads
-/// (required by the `parallel`-feature `query_parallel` entry point).
+/// (required by the `parallel`-feature `with_scan_pool`).
 pub type SyncServingFrontend<'q, M> =
     ServingFrontend<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
@@ -619,17 +634,6 @@ impl<'q, M: Metric> ServingFrontend<'q, M> {
             &self.base, quality, lambda, initial,
         ))
     }
-
-    /// Renamed to [`register_tenant`](Self::register_tenant).
-    #[deprecated(since = "0.11.0", note = "renamed to `register_tenant`")]
-    pub fn add_tenant<F: SetFunction>(
-        &mut self,
-        quality: &'q F,
-        lambda: f64,
-        initial: &[ElementId],
-    ) -> TenantId {
-        self.register_tenant(quality, lambda, initial)
-    }
 }
 
 impl<'q, M: Metric> SyncServingFrontend<'q, M> {
@@ -648,17 +652,6 @@ impl<'q, M: Metric> SyncServingFrontend<'q, M> {
         self.push_tenant(SyncDynamicSession::new_shared_sync(
             &self.base, quality, lambda, initial,
         ))
-    }
-
-    /// Renamed to [`register_tenant_sync`](Self::register_tenant_sync).
-    #[deprecated(since = "0.11.0", note = "renamed to `register_tenant_sync`")]
-    pub fn add_tenant_sync<F: SetFunction + Sync>(
-        &mut self,
-        quality: &'q F,
-        lambda: f64,
-        initial: &[ElementId],
-    ) -> TenantId {
-        self.register_tenant_sync(quality, lambda, initial)
     }
 }
 
@@ -822,11 +815,19 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
             policy: AdmissionPolicy::default(),
             clock: None,
             #[cfg(feature = "parallel")]
-            fanout_pool: None,
+            fanout: None,
         }
     }
 
     fn push_tenant(&mut self, session: DynamicSession<'q, OverlayMetric<Arc<M>>, Q>) -> TenantId {
+        // Later tenants (fresh or re-attached) scan on the frontend's
+        // pool exactly like the ones present at `with_scan_pool`.
+        #[cfg(feature = "parallel")]
+        let mut session = session;
+        #[cfg(feature = "parallel")]
+        if let Some(fanout) = &self.fanout {
+            session.scan_pool = Some(fanout.scan.clone());
+        }
         // With quarantine enabled every tenant starts with a known-good
         // anchor, so recovery works even before the first clean flush.
         let checkpoint = self
@@ -1075,10 +1076,13 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         };
         t.session.rollback_to(checkpoint);
         for batch in &t.replay_log {
-            // The batch validated when it first flushed, so the
-            // unvalidated replay applies the identical mutations.
-            let report = t.session.ingest_unchecked(batch);
-            let swaps = usize::from(report.outcome.swap.is_some());
+            // The batch validated when it first flushed, so the trusting
+            // replay applies the identical mutations (and a trusting
+            // matrix batch cannot fail).
+            let swaps = t
+                .session
+                .ingest(Batch::from(batch.as_slice()).with_validation(Validation::Legacy))
+                .map_or(0, |report| usize::from(report.outcome.swap.is_some()));
             t.session
                 .update_until_stable(max_updates.saturating_sub(swaps));
         }
@@ -1142,7 +1146,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// The whole per-tenant query body — staleness check, coalesced
-    /// flush, stabilize, respond. Both the serial entry points and the
+    /// flush, stabilize, respond. Both the serial loop and the
     /// `parallel`-feature fan-out jobs run exactly this function, which
     /// is what makes the fan-out bit-identical to the serial loop by
     /// construction.
@@ -1154,7 +1158,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         now: u64,
     ) -> QueryResponse {
         Self::quarantine_if_stale(t, policy, now);
-        let flush = Self::flush_pending(t, policy, |session, batch| session.ingest(batch));
+        let flush = Self::flush_pending(t, policy);
         Self::respond(t, tenant, flush, max_updates, policy)
     }
 
@@ -1179,23 +1183,31 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         }
     }
 
-    /// Answers a set of *distinct* tenants in request order — the
-    /// serial fan-out/join reference the `parallel`-feature
-    /// `query_many_parallel` is pinned against.
+    /// Answers a set of *distinct* tenants in request order. A frontend
+    /// holding a scan pool (`parallel` feature, `with_scan_pool`) runs
+    /// the tenants as independent jobs on it and joins the responses in
+    /// request order, bit-identical to the serial per-tenant loop.
     ///
     /// # Panics
     ///
     /// Panics on duplicate handles (two jobs would race on one tenant)
-    /// or on unknown/evicted tenants.
+    /// or on unknown/evicted tenants, and propagates any tenant-job panic
+    /// after the join.
     pub fn query_many(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
+        #[cfg(feature = "parallel")]
+        if let Some(fanout) = &self.fanout {
+            let (join, pool) = (fanout.join, Arc::clone(&fanout.scan.pool));
+            return join(self, tenants, &pool);
+        }
         Self::assert_distinct(tenants);
         tenants.iter().map(|&t| self.query(t)).collect()
     }
 
     /// One flush cycle over the ready set (live, unquarantined tenants
     /// with queued work), ascending by id: each ready tenant gets one
-    /// [`query`](Self::query). Tenants with empty queues are skipped —
-    /// a pure read costs nothing through this path.
+    /// [`query`](Self::query), fanned out as in
+    /// [`query_many`](Self::query_many). Tenants with empty queues are
+    /// skipped — a pure read costs nothing through this path.
     pub fn drain_all(&mut self) -> Vec<QueryResponse> {
         let ready = self.ready_ids();
         self.query_many(&ready)
@@ -1231,18 +1243,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// Drains the admission-bounded front of the pending queue through
-    /// `apply` (a validating, all-or-nothing batch application). A
+    /// one strict (all-or-nothing) [`DynamicSession::ingest`]. A
     /// quarantined tenant flushes nothing. The drained batch rides in
     /// the returned [`FlushAttempt`] either way — into the recovery
     /// replay log on success, onto the audit channel on rejection.
-    fn flush_pending(
-        t: &mut Tenant<'q, M, Q>,
-        policy: AdmissionPolicy,
-        apply: impl FnOnce(
-            &mut DynamicSession<'q, OverlayMetric<Arc<M>>, Q>,
-            &[SessionPerturbation],
-        ) -> Result<BatchReport, SessionError>,
-    ) -> FlushAttempt {
+    fn flush_pending(t: &mut Tenant<'q, M, Q>, policy: AdmissionPolicy) -> FlushAttempt {
         if t.quarantined || t.pending.is_empty() {
             return FlushAttempt::Idle;
         }
@@ -1254,7 +1259,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         }
         let batch: Vec<SessionPerturbation> = t.pending.drain(..take).collect();
         t.pending_ticks.drain(..take);
-        match apply(&mut t.session, &batch) {
+        match t.session.ingest(batch.as_slice()) {
             Ok(report) => FlushAttempt::Applied(report, batch),
             Err(error) => FlushAttempt::Rejected(error, batch),
         }
@@ -1347,64 +1352,40 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
 }
 
 #[cfg(feature = "parallel")]
-impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
-    /// Routes every *existing* tenant session's parallel scans and the
-    /// fan-out scheduler through an explicit [`crate::pool::ScanPool`]
-    /// (builder style): one persistent worker set serves all tenants.
-    /// Results are bit-identical for any pool.
-    pub fn with_scan_pool(mut self, pool: Arc<crate::pool::ScanPool>) -> Self {
-        for t in self.tenants.iter_mut().flatten() {
-            t.session.set_scan_pool(Arc::clone(&pool));
-        }
-        self.fanout_pool = Some(pool);
-        self
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<'q, M: Metric + Send + Sync> SyncServingFrontend<'q, M> {
-    /// [`ServingFrontend::query`] with the flush running the session's
-    /// thread-parallel scans (bit-identical responses — chunking is
-    /// scheduling only; validation and rollback semantics are identical
-    /// to the serial path).
-    pub fn query_parallel(&mut self, tenant: TenantId) -> QueryResponse {
-        let max_updates = self.max_updates_per_query;
-        let policy = self.policy;
-        let now = self.now();
-        let t = self.tenant_mut(tenant);
-        Self::quarantine_if_stale(t, policy, now);
-        let flush = Self::flush_pending(t, policy, |session, batch| {
-            session.try_apply_batch_parallel(batch)
-        });
-        Self::respond(t, tenant, flush, max_updates, policy)
-    }
-}
-
-#[cfg(feature = "parallel")]
 impl<'q, M, Q> ServingFrontend<'q, M, Q>
 where
     M: Metric + Send + Sync,
     Q: IncrementalOracle + Send + Sync + ?Sized,
 {
-    /// Fan-out/join [`ServingFrontend::query_many`]: the requested
-    /// (distinct) tenants are partitioned into independent jobs on the
-    /// configured [`crate::pool::ScanPool`] (the
-    /// [`with_scan_pool`](Self::with_scan_pool) pool, falling back to
-    /// the process-global one) and the responses are joined in request
-    /// order. Each job runs the *identical serial* per-tenant flush +
-    /// stabilize body ([`ServingFrontend::query`]), so responses are
-    /// bit-identical to the serial loop — the pool decides which thread
-    /// serves a tenant, never what it computes. Jobs never submit scan
-    /// work back to the fan-out pool (that would deadlock a pool with
-    /// no work-stealing while blocked), so per-tenant scans inside the
-    /// jobs stay serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate handles or unknown/evicted tenants, and
-    /// propagates any tenant-job panic after the join (same latch
-    /// discipline as the pooled scans).
-    pub fn query_many_parallel(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
+    /// Installs `pool` as the frontend's one persistent worker set
+    /// (builder style): every tenant session — present or registered or
+    /// attached later — runs its full scans chunked on it, and
+    /// [`query_many`](ServingFrontend::query_many) /
+    /// [`drain_all`](ServingFrontend::drain_all) fan their tenants out as
+    /// jobs on it (a scan inside a job runs inline on the job's thread).
+    /// Results are bit-identical for any pool.
+    pub fn with_scan_pool(mut self, pool: Arc<crate::pool::ScanPool>) -> Self {
+        let scan = DynamicSession::pooled_scan(pool);
+        for t in self.tenants.iter_mut().flatten() {
+            t.session.scan_pool = Some(scan.clone());
+        }
+        self.fanout = Some(FanOut {
+            scan,
+            join: Self::fan_out,
+        });
+        self
+    }
+
+    /// Fan-out/join body of [`query_many`](ServingFrontend::query_many) on
+    /// a pooled frontend: the requested (distinct) tenants are
+    /// partitioned into independent jobs on the frontend's pool and the
+    /// responses are joined in request order. Each job runs the
+    /// identical per-tenant flush + stabilize body as the serial loop.
+    fn fan_out(
+        &mut self,
+        tenants: &[TenantId],
+        pool: &crate::pool::ScanPool,
+    ) -> Vec<QueryResponse> {
         let max_updates = self.max_updates_per_query;
         let policy = self.policy;
         let now = self.now();
@@ -1421,10 +1402,6 @@ where
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            let pool = self
-                .fanout_pool
-                .as_deref()
-                .unwrap_or_else(|| crate::pool::ScanPool::global());
             pool.run_jobs(jobs);
         }
         slots
@@ -1434,13 +1411,6 @@ where
                 None => panic!("fan-out job dropped its response"),
             })
             .collect()
-    }
-
-    /// Fan-out/join [`ServingFrontend::drain_all`]: one parallel flush
-    /// cycle over the ready set, joined in ascending id order.
-    pub fn drain_all_parallel(&mut self) -> Vec<QueryResponse> {
-        let ready = self.ready_ids();
-        self.query_many_parallel(&ready)
     }
 
     /// Splits the slot vector into disjoint `&mut` borrows of the
@@ -1895,7 +1865,7 @@ mod tests {
             serial.submit(ts, SessionPerturbation::SetDistance { u, v, value });
             par.submit(tp, SessionPerturbation::SetDistance { u, v, value });
             let rs = serial.query(ts);
-            let rp = par.query_parallel(tp);
+            let rp = par.query(tp);
             assert_eq!(rs.solution, rp.solution);
             assert_eq!(rs.objective, rp.objective);
             assert_eq!(rs.flushed, rp.flushed);
@@ -2285,19 +2255,23 @@ mod tests {
         assert!(!frontend.is_quarantined(t));
     }
 
+    #[cfg(feature = "parallel")]
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_add_tenant_forwards_to_register_tenant() {
-        let (base, quality) = base_and_quality(12);
-        let mut old = ServingFrontend::new(Arc::clone(&base));
-        let mut new = ServingFrontend::new(Arc::clone(&base));
-        let to = old.add_tenant(&quality, 0.3, &[0, 1, 2]);
-        let tn = new.register_tenant(&quality, 0.3, &[0, 1, 2]);
-        assert_eq!(to, tn);
-        let ro = old.query(to);
-        let rn = new.query(tn);
-        assert_eq!(ro.solution, rn.solution);
-        assert_eq!(ro.objective.to_bits(), rn.objective.to_bits());
+    fn tenants_added_after_with_scan_pool_scan_on_the_frontend_pool() {
+        let (base, _) = base_and_quality(24);
+        let weights: Arc<[f64]> = (0..24).map(|i| 1.0 + f64::from(i % 5)).collect();
+        let mut frontend = SharedServingFrontend::new_shared(Arc::clone(&base));
+        let early = frontend.register_tenant_shared(Arc::clone(&weights), 0.3, &[0, 1, 2]);
+        let pool = Arc::new(crate::pool::ScanPool::new(2));
+        let mut frontend = frontend.with_scan_pool(Arc::clone(&pool));
+        let late = frontend.register_tenant_shared(Arc::clone(&weights), 0.5, &[3, 4, 5]);
+        let snapshot = frontend.evict(early);
+        let reattached = frontend.attach(snapshot);
+        for tenant in [late, reattached] {
+            let scan = frontend.session(tenant).scan_pool.as_ref();
+            let scan = scan.expect("a later tenant scans on the frontend pool");
+            assert!(Arc::ptr_eq(&scan.pool, &pool), "tenant {tenant}");
+        }
     }
 
     #[cfg(feature = "parallel")]
@@ -2331,7 +2305,7 @@ mod tests {
                 par.submit(tp, p);
             }
             let rs = serial.query_many(&st);
-            let rp = par.query_many_parallel(&pt);
+            let rp = par.query_many(&pt);
             assert_eq!(rs.len(), rp.len());
             for (a, b) in rs.iter().zip(rp.iter()) {
                 assert_eq!(a.solution, b.solution);
@@ -2340,14 +2314,14 @@ mod tests {
                 assert_eq!(a.swaps, b.swaps);
             }
         }
-        // drain_all ≡ drain_all_parallel on the same stream.
+        // drain_all on the pooled frontend ≡ the serial loop's.
         for (&ts, &tp) in st.iter().zip(pt.iter()).take(2) {
             let p = SessionPerturbation::SetWeight { u: 5, value: 3.0 };
             serial.submit(ts, p);
             par.submit(tp, p);
         }
         let rs = serial.drain_all();
-        let rp = par.drain_all_parallel();
+        let rp = par.drain_all();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.len(), rp.len());
         for (a, b) in rs.iter().zip(rp.iter()) {

@@ -70,22 +70,21 @@
 //! representative per row — plus an O(n) sweep for the fresh incoming
 //! member's row — instead of paying the full O(n·p) traversal.
 //!
-//! Sessions over an *induced* (network) metric use the graph-backed
-//! entry points [`DynamicSession::apply_graph`] /
-//! [`DynamicSession::apply_graph_batch`] (over any
-//! [`EdgePerturbableMetric`], e.g. `msd_metric::DynamicGraphMetric`):
-//! one edge-weight update moves many pairwise distances at once, the
-//! metric repairs its own APSP matrix incrementally, and the returned
-//! change report becomes a stream of the same O(Δ) distance patches —
-//! flowing through the identical direction analysis, scan scoping and
-//! cache dirt tracking as matrix perturbations.
-//!
-//! Bursts of perturbations (Figure 1's redraw workload) go through
-//! [`DynamicSession::ingest`]: every perturbation is repaired in
-//! O(Δ) as above, the scan scopes are accumulated across the whole
-//! batch, and **at most one** swap scan runs over their union — skipped
-//! entirely when every perturbation in the batch is provably irrelevant.
-//! The [`Validation`] knob on the [`Batch`] picks between the strict
+//! Every perturbation enters through one door, [`DynamicSession::ingest`],
+//! as a [`Batch`] (Figure 1's redraw bursts are batches of many): every
+//! perturbation is repaired in O(Δ) as above, the scan scopes are
+//! accumulated across the whole batch, and **at most one** swap scan runs
+//! over their union — skipped entirely when every perturbation in the
+//! batch is provably irrelevant. The batch payload picks the perturbation
+//! model: [`SessionPerturbation`]s for any [`PerturbableMetric`], or
+//! [`GraphPerturbation`]s for a session over an *induced* (network)
+//! metric — any [`EdgePerturbableMetric`], e.g.
+//! `msd_metric::DynamicGraphMetric` — where one edge-weight update moves
+//! many pairwise distances at once, the metric repairs its own APSP
+//! matrix incrementally, and the returned change report becomes a stream
+//! of the same O(Δ) distance patches, flowing through the identical
+//! direction analysis, scan scoping and cache dirt tracking. The
+//! [`Validation`] knob on the [`Batch`] picks between the strict
 //! all-or-nothing contract (default) and the legacy trusting one:
 //!
 //! ```
@@ -160,8 +159,7 @@
 
 use msd_matroid::Matroid;
 use msd_metric::{
-    EdgePerturbableMetric, EdgeUpdateError, EdgeUpdateReport, Metric, OverlayMetric,
-    PerturbableMetric,
+    EdgePerturbableMetric, EdgeUpdateError, Metric, OverlayMetric, PerturbableMetric,
 };
 use msd_submodular::{IncrementalOracle, OracleState, SetFunction};
 
@@ -170,9 +168,9 @@ use crate::problem::DiversificationProblem;
 use crate::solution::SolutionState;
 use crate::ElementId;
 
-/// A perturbation accepted by [`DynamicSession::apply`]: the paper's
-/// weight / distance rewrites ([`Perturbation`]) plus ground-set arrivals
-/// and departures.
+/// The matrix batch payload of [`DynamicSession::ingest`] (any
+/// [`PerturbableMetric`]): the paper's weight / distance rewrites
+/// ([`Perturbation`]) plus ground-set arrivals and departures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionPerturbation {
     /// Set `w(u)` (types I/II). Requires a quality oracle with modular
@@ -216,15 +214,14 @@ impl From<Perturbation> for SessionPerturbation {
     }
 }
 
-/// A perturbation accepted by the graph-backed session entry points
-/// ([`DynamicSession::apply_graph`] /
-/// [`DynamicSession::apply_graph_batch`], over any
+/// The graph batch payload of [`DynamicSession::ingest`] (any
 /// [`EdgePerturbableMetric`]): the underlying network's edge rewrites
 /// plus the weight / availability perturbations shared with
 /// [`SessionPerturbation`]. Raw `SetDistance` rewrites have no meaning
 /// over an induced shortest-path metric — its distances move only
 /// through edges, and one edge update moves many of them at once (the
-/// metric's [`EdgeUpdateReport`] lists exactly which).
+/// metric's [`EdgeUpdateReport`](msd_metric::EdgeUpdateReport) lists
+/// exactly which).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphPerturbation {
     /// Set the weight of edge `{u, v}` (inserting it when absent).
@@ -263,8 +260,7 @@ pub enum GraphPerturbation {
     },
 }
 
-/// How much of the swap scan one [`DynamicSession::apply`] /
-/// [`DynamicSession::apply_batch`] call ran.
+/// How much of the swap scan one [`DynamicSession::ingest`] call ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanExtent {
     /// Every ingested perturbation provably preserved local optimality;
@@ -287,29 +283,17 @@ pub enum ScanExtent {
     Full,
 }
 
-/// Outcome of one [`DynamicSession::apply`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UpdateReport {
-    /// The oblivious update performed over the repaired caches.
-    pub outcome: UpdateOutcome,
-    /// Element greedily inserted to restore the target cardinality after
-    /// a selected member departed (or after an arrival while short).
-    pub refill: Option<ElementId>,
-    /// How much of the swap scan this update needed.
-    pub scan: ScanExtent,
-}
-
-/// Error of [`DynamicSession::apply_graph_batch`]: a rejected edge
-/// update stopped ingestion mid-batch — the **partial-commit** mode of
-/// the [`SessionError`] hierarchy. The session itself remains
-/// consistent — the first [`ingested`](Self::ingested) perturbations'
-/// repairs (including the listed [`refills`](Self::refills)) are in
-/// effect, the failing update is not — and this error carries the
-/// partial report those perturbations produced, so a caller mirroring
-/// membership from reports stays in sync even on the error path. For
-/// all-or-nothing semantics use
-/// [`DynamicSession::try_apply_graph_batch`] instead, which rolls the
-/// session back to its pre-batch checkpoint.
+/// A rejected edge update stopped a [`Validation::Legacy`] graph batch
+/// mid-way — the **partial-commit** mode of the [`SessionError`]
+/// hierarchy ([`SessionError::PartialCommit`]). The session itself
+/// remains consistent — the first [`ingested`](Self::ingested)
+/// perturbations' repairs (including the listed
+/// [`refills`](Self::refills)) are in effect, the failing update is not
+/// — and this error carries the partial report those perturbations
+/// produced, so a caller mirroring membership from reports stays in sync
+/// even on the error path. [`Validation::Strict`] graph batches are
+/// all-or-nothing instead: they roll the session back to its pre-batch
+/// checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphBatchError {
     /// The metric's witness error for the rejected update.
@@ -337,14 +321,12 @@ impl std::error::Error for GraphBatchError {
     }
 }
 
-/// Typed rejection of one perturbation by the validating session entry
-/// points ([`DynamicSession::try_apply`] /
-/// [`DynamicSession::try_apply_batch`] and the graph counterparts).
+/// Typed rejection of one perturbation by a [`Validation::Strict`]
+/// [`DynamicSession::ingest`].
 ///
 /// Every variant is detected **before** the offending perturbation
-/// mutates any session state; the panicking entry points
-/// ([`DynamicSession::apply`] and friends) treat the same conditions as
-/// programmer error. The variants mirror exactly the malformed shapes an
+/// mutates any session state; [`Validation::Legacy`] ingestion treats
+/// the same conditions as programmer error. The variants mirror exactly the malformed shapes an
 /// untrusted perturbation stream can take: non-finite or negative
 /// numerics, out-of-range ids, and availability-state violations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -448,13 +430,11 @@ impl From<EdgeUpdateError> for PerturbationError {
     }
 }
 
-/// Error of the validating batch entry points — the session-level
-/// hierarchy above [`PerturbationError`], with one variant per failure
-/// *mode*.
+/// Error of [`DynamicSession::ingest`] — the session-level hierarchy
+/// above [`PerturbationError`], with one variant per failure *mode*.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
-    /// All-or-nothing mode ([`DynamicSession::try_apply_batch`] /
-    /// [`DynamicSession::try_apply_graph_batch`]): perturbation `index`
+    /// All-or-nothing mode ([`Validation::Strict`]): perturbation `index`
     /// was rejected and the session is **bit-identical to its pre-batch
     /// state** — either never mutated (malformed input is detected before
     /// ingestion) or restored from the pre-batch [`SessionCheckpoint`].
@@ -464,8 +444,8 @@ pub enum SessionError {
         /// Why it was rejected.
         error: PerturbationError,
     },
-    /// Explicit partial-commit mode (the [`GraphBatchError`] contract of
-    /// [`DynamicSession::apply_graph_batch`]): the first
+    /// Partial-commit mode (a [`Validation::Legacy`] graph batch whose
+    /// edge update the metric rejected): the first
     /// [`GraphBatchError::ingested`] perturbations remain applied.
     PartialCommit(GraphBatchError),
 }
@@ -499,7 +479,7 @@ impl From<GraphBatchError> for SessionError {
     }
 }
 
-/// Outcome of one [`DynamicSession::apply_batch`] call.
+/// Outcome of one [`DynamicSession::ingest`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// The (at most one) oblivious update performed after all repairs,
@@ -510,7 +490,7 @@ pub struct BatchReport {
     pub refills: Vec<ElementId>,
     /// How much of the swap scan the batch needed.
     pub scan: ScanExtent,
-    /// Number of perturbations ingested (`perturbations.len()`).
+    /// Number of perturbations ingested (the batch length).
     pub ingested: usize,
 }
 
@@ -518,24 +498,31 @@ pub struct BatchReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Validation {
     /// Check the whole batch up front and reject it with a typed
-    /// [`SessionError`] before anything commits — all-or-nothing over
-    /// untrusted input (the old `try_apply_batch` contract). The default.
+    /// [`SessionError::Rejected`] before anything commits — all-or-nothing
+    /// over untrusted input. The default. Matrix batches fail only
+    /// statically, so they are never checkpointed; a graph batch holding a
+    /// [`GraphPerturbation::RemoveEdge`] (whose missing-edge or
+    /// disconnection rejection depends on the connectivity earlier entries
+    /// create) is checkpointed first and rolled back bit-for-bit on a
+    /// runtime rejection.
     #[default]
     Strict,
-    /// Skip validation: malformed perturbations **panic** mid-batch, and
+    /// Skip validation, for trusted pre-validated streams that cannot
+    /// afford the extra pass: malformed perturbations **panic** mid-batch,
     /// arrivals of resident / departures of non-resident elements are
-    /// silently ignored — the old `apply_batch` contract, for trusted
-    /// pre-validated streams that cannot afford the extra pass.
+    /// silently ignored, and an edge update the metric rejects stops a
+    /// graph batch with [`SessionError::PartialCommit`].
     Legacy,
 }
 
 /// One coalesced unit of ingestion: the perturbations plus the
-/// [`Validation`] regime to ingest them under.
+/// [`Validation`] regime to ingest them under. The payload `P` is
+/// [`SessionPerturbation`] (the default) or [`GraphPerturbation`].
 ///
-/// [`DynamicSession::ingest`] takes `impl Into<Batch>`, and plain
+/// [`DynamicSession::ingest`] takes `impl Into<Batch<P>>`, and plain
 /// perturbation containers convert with the strict default — pass a
-/// `Vec`, slice, array, or single [`SessionPerturbation`] directly, or
-/// build a [`Batch`] explicitly to choose [`Validation::Legacy`]:
+/// `Vec`, slice, array, or single perturbation directly, or build a
+/// [`Batch`] explicitly to choose [`Validation::Legacy`]:
 ///
 /// ```
 /// use msd_core::{Batch, SessionPerturbation, Validation};
@@ -546,14 +533,14 @@ pub enum Validation {
 /// assert_eq!(Batch::from(fast.perturbations()).validation(), Validation::Strict);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Batch {
-    perturbations: Vec<SessionPerturbation>,
+pub struct Batch<P = SessionPerturbation> {
+    perturbations: Vec<P>,
     validation: Validation,
 }
 
-impl Batch {
+impl<P> Batch<P> {
     /// A batch under the default [`Validation::Strict`] regime.
-    pub fn new(perturbations: Vec<SessionPerturbation>) -> Self {
+    pub fn new(perturbations: Vec<P>) -> Self {
         Self {
             perturbations,
             validation: Validation::default(),
@@ -572,7 +559,7 @@ impl Batch {
     }
 
     /// The perturbations, in ingestion order.
-    pub fn perturbations(&self) -> &[SessionPerturbation] {
+    pub fn perturbations(&self) -> &[P] {
         &self.perturbations
     }
 
@@ -587,15 +574,21 @@ impl Batch {
     }
 }
 
-impl From<Vec<SessionPerturbation>> for Batch {
-    fn from(perturbations: Vec<SessionPerturbation>) -> Self {
+impl<P> From<Vec<P>> for Batch<P> {
+    fn from(perturbations: Vec<P>) -> Self {
         Self::new(perturbations)
     }
 }
 
-impl From<&[SessionPerturbation]> for Batch {
-    fn from(perturbations: &[SessionPerturbation]) -> Self {
+impl<P: Clone> From<&[P]> for Batch<P> {
+    fn from(perturbations: &[P]) -> Self {
         Self::new(perturbations.to_vec())
+    }
+}
+
+impl<P, const N: usize> From<[P; N]> for Batch<P> {
+    fn from(perturbations: [P; N]) -> Self {
+        Self::new(perturbations.into())
     }
 }
 
@@ -605,9 +598,9 @@ impl From<SessionPerturbation> for Batch {
     }
 }
 
-impl<const N: usize> From<[SessionPerturbation; N]> for Batch {
-    fn from(perturbations: [SessionPerturbation; N]) -> Self {
-        Self::new(perturbations.to_vec())
+impl From<GraphPerturbation> for Batch<GraphPerturbation> {
+    fn from(perturbation: GraphPerturbation) -> Self {
+        Self::new(vec![perturbation])
     }
 }
 
@@ -824,24 +817,85 @@ impl CandidateCache {
     }
 }
 
-/// Scan scope accumulated while ingesting a batch of perturbations:
-/// candidate columns whose gains may have risen, member rows uniformly
-/// shifted upward, and whether anything demanded an unconditional full
-/// scan (membership changes, non-uniform weight semantics).
-#[derive(Debug, Default)]
-struct PendingScan {
-    cols: Vec<ElementId>,
-    rows: Vec<ElementId>,
-    full: bool,
-    /// Some availability event may have left the solution short of `p`:
-    /// run the batch-final greedy refill pass
-    /// ([`DynamicSession::refill_shortfall`]) before the scan.
-    refill: bool,
+/// The payload side of [`Batch`]: how one perturbation kind is validated
+/// and ingested. The module is private, so the trait is sealed —
+/// [`SessionPerturbation`] and [`GraphPerturbation`] are its only
+/// implementations — and [`DynamicSession::ingest`] is the single driver
+/// over both.
+mod payload {
+    use super::{DynamicSession, SessionCheckpoint, SessionError};
+    use crate::ElementId;
+    use msd_metric::{EdgeUpdateError, Metric};
+    use msd_submodular::IncrementalOracle;
+
+    /// Scan scope accumulated while ingesting a batch of perturbations:
+    /// candidate columns whose gains may have risen, member rows uniformly
+    /// shifted upward, and whether anything demanded an unconditional full
+    /// scan (membership changes, non-uniform weight semantics).
+    #[derive(Debug, Default)]
+    pub struct PendingScan {
+        pub(super) cols: Vec<ElementId>,
+        pub(super) rows: Vec<ElementId>,
+        pub(super) full: bool,
+        /// Some availability event may have left the solution short of
+        /// `p`: run the batch-final greedy refill pass
+        /// ([`DynamicSession::refill_shortfall`]) before the scan.
+        pub(super) refill: bool,
+    }
+
+    impl PendingScan {
+        pub(super) fn is_empty(&self) -> bool {
+            !self.full && self.cols.is_empty() && self.rows.is_empty()
+        }
+    }
+
+    /// A perturbation kind a session over metric `M` can ingest.
+    pub trait Payload<M: Metric>: Copy {
+        /// [`super::Validation::Strict`]'s static pass over the whole
+        /// batch. On success, the pre-batch checkpoint the batch needs
+        /// when some entry can still be rejected at ingest time; `None`
+        /// when every rejection is detectable up front.
+        fn validate<Q: IncrementalOracle + ?Sized>(
+            session: &DynamicSession<'_, M, Q>,
+            batch: &[Self],
+        ) -> Result<Option<SessionCheckpoint<M>>, SessionError>;
+
+        /// Repairs the session caches for one perturbation in O(Δ) and
+        /// records the scan scope it may have raised. An edge update the
+        /// metric rejects leaves the session untouched.
+        fn ingest_into<Q: IncrementalOracle + ?Sized>(
+            self,
+            session: &mut DynamicSession<'_, M, Q>,
+            pending: &mut PendingScan,
+        ) -> Result<(), EdgeUpdateError>;
+    }
 }
 
-impl PendingScan {
-    fn is_empty(&self) -> bool {
-        !self.full && self.cols.is_empty() && self.rows.is_empty()
+use payload::{Payload, PendingScan};
+
+/// A full swap scan's result: the winning `(u_out, v_in, gain)` cell plus,
+/// when the candidate cache is enabled, the freshly collected rank tables.
+type FullScan = (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>);
+
+/// The chunked full scan a session runs once
+/// [`DynamicSession::with_scan_pool`] installed it: the scan is
+/// monomorphized where `M: Sync` and `Q: Sync` hold and stored as a plain
+/// `fn` next to its pool, so every full scan the session runs selects it
+/// at one place ([`DynamicSession::full_scan`]) whatever the caller's
+/// bounds.
+#[cfg(feature = "parallel")]
+pub(crate) struct PooledScan<'q, M: Metric, Q: IncrementalOracle + ?Sized> {
+    pub(crate) pool: std::sync::Arc<crate::pool::ScanPool>,
+    scan: fn(&DynamicSession<'q, M, Q>, &crate::pool::ScanPool) -> FullScan,
+}
+
+#[cfg(feature = "parallel")]
+impl<M: Metric, Q: IncrementalOracle + ?Sized> Clone for PooledScan<'_, M, Q> {
+    fn clone(&self) -> Self {
+        Self {
+            pool: std::sync::Arc::clone(&self.pool),
+            scan: self.scan,
+        }
     }
 }
 
@@ -929,16 +983,16 @@ pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Inc
     /// [`ConstraintPolicy::Cardinality`] — the classic session,
     /// bit-identical to pre-policy behavior).
     constraint: ConstraintPolicy<'q>,
-    /// Explicit scan pool for the `parallel` entry points; `None` uses
-    /// the ambient [`crate::pool::ScanPool::global`] pool.
+    /// The pooled full scan installed by
+    /// [`DynamicSession::with_scan_pool`]; `None` scans serially.
     #[cfg(feature = "parallel")]
-    scan_pool: Option<std::sync::Arc<crate::pool::ScanPool>>,
+    pub(crate) scan_pool: Option<PooledScan<'q, M, Q>>,
     _quality_fn: std::marker::PhantomData<&'q ()>,
 }
 
 /// [`DynamicSession`] whose quality oracle is shareable across threads
-/// (required by the `parallel`-feature `apply_parallel` /
-/// `apply_graph_batch_parallel` entry points).
+/// (required by the `parallel`-feature
+/// `with_scan_pool`).
 pub type SyncDynamicSession<'q, M> =
     DynamicSession<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
@@ -984,7 +1038,7 @@ impl<'q, M: Metric> DynamicSession<'q, M> {
 
 impl<'q, M: Metric> SyncDynamicSession<'q, M> {
     /// Thread-shareable variant of [`DynamicSession::new`] (enables
-    /// the `parallel`-feature `apply_parallel` entry points).
+    /// the `parallel`-feature pooled scans).
     pub fn new_sync<F: SetFunction + Sync>(
         problem: &'q DiversificationProblem<M, F>,
         initial: &[ElementId],
@@ -1030,7 +1084,7 @@ impl<'q, M: Metric> DynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
 
 impl<'q, M: Metric> SyncDynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
     /// Thread-shareable variant of [`DynamicSession::new_shared`]
-    /// (enables the `parallel` entry points when `M: Send + Sync`).
+    /// (enables the `parallel`-feature pooled scans when `M: Sync`).
     pub fn new_shared_sync<F: SetFunction + Sync>(
         base: &std::sync::Arc<M>,
         quality: &'q F,
@@ -1243,32 +1297,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         &self.constraint
     }
 
-    /// Routes this session's parallel scans through an explicit
-    /// [`crate::pool::ScanPool`] (builder style). Sessions sharing one
-    /// pool share its persistent workers; without this the `parallel`
-    /// entry points use the ambient [`crate::pool::ScanPool::global`]
-    /// pool. Purely a scheduling knob — results are bit-identical for
-    /// any pool.
-    #[cfg(feature = "parallel")]
-    pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
-        self.scan_pool = Some(pool);
-        self
-    }
-
-    /// In-place form of [`DynamicSession::with_scan_pool`].
-    #[cfg(feature = "parallel")]
-    pub fn set_scan_pool(&mut self, pool: std::sync::Arc<crate::pool::ScanPool>) {
-        self.scan_pool = Some(pool);
-    }
-
-    /// The pool serving this session's parallel scans.
-    #[cfg(feature = "parallel")]
-    fn pool(&self) -> &crate::pool::ScanPool {
-        self.scan_pool
-            .as_deref()
-            .unwrap_or_else(|| crate::pool::ScanPool::global())
-    }
-
     /// The current solution (insertion order; swaps reorder like
     /// [`SolutionState`]).
     pub fn solution(&self) -> &[ElementId] {
@@ -1326,7 +1354,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             };
         }
         let mut pending = PendingScan::default();
-        let (best, _) = self.scoped_scan(&mut pending, Self::scan_full_collect);
+        let (best, _) = self.scoped_scan(&mut pending);
         self.commit(best)
     }
 
@@ -1469,7 +1497,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// (asserted by the `K = 0` equivalence tests).
     ///
     /// [`scan_full`]: DynamicSession::scan_full
-    fn scan_full_collect(&self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>) {
+    fn scan_full_collect(&self) -> FullScan {
         if self.cache.k == 0 || !self.constraint.is_cardinality() {
             return (self.scan_full(), None);
         }
@@ -1612,7 +1640,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     fn scoped_scan(
         &mut self,
         pending: &mut PendingScan,
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
     ) -> (Option<(ElementId, ElementId, f64)>, ScanExtent) {
         if !pending.full {
             if self.stable {
@@ -1636,7 +1663,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
                 }
             }
         }
-        let (best, coll) = full_scan(self);
+        let (best, coll) = self.full_scan();
         if best.is_none() {
             if let Some(coll) = coll {
                 self.cache.install(coll);
@@ -1645,16 +1672,27 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         (best, ScanExtent::Full)
     }
 
-    /// Shared tail of every batched entry point: skips the scan when the
-    /// batch was empty or provably irrelevant, otherwise runs the
-    /// narrowest sound scan over the accumulated scope and commits at
-    /// most one swap.
+    /// The full traversal every full scan runs through — the one place
+    /// the pooled chunked scan is selected (see
+    /// `with_scan_pool`); both strategies return the
+    /// identical winner and rank tables.
+    fn full_scan(&self) -> FullScan {
+        #[cfg(feature = "parallel")]
+        if let Some(pooled) = &self.scan_pool {
+            return (pooled.scan)(self, &pooled.pool);
+        }
+        self.scan_full_collect()
+    }
+
+    /// Tail of [`DynamicSession::ingest`]: skips the scan when the batch
+    /// was empty or provably irrelevant, otherwise runs the narrowest
+    /// sound scan over the accumulated scope and commits at most one
+    /// swap.
     fn finish_batch(
         &mut self,
         mut pending: PendingScan,
         refills: Vec<ElementId>,
         ingested: usize,
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
     ) -> BatchReport {
         if ingested == 0 || (self.stable && pending.is_empty()) {
             return BatchReport {
@@ -1667,7 +1705,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
                 ingested,
             };
         }
-        let (best, scan) = self.scoped_scan(&mut pending, full_scan);
+        let (best, scan) = self.scoped_scan(&mut pending);
         let outcome = self.commit(best);
         BatchReport {
             outcome,
@@ -1678,8 +1716,8 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     }
 
     /// Weight-perturbation repair + direction analysis (the
-    /// [`SessionPerturbation::SetWeight`] arm; shared with the
-    /// graph-backed entry points).
+    /// [`SessionPerturbation::SetWeight`] arm; shared with the graph
+    /// payload).
     ///
     /// # Panics
     ///
@@ -1722,7 +1760,8 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// Distance-change repair + direction analysis for an already-applied
     /// metric mutation `d(u, v) += delta` (the tail of the
     /// [`SessionPerturbation::SetDistance`] arm, and the per-pair patch
-    /// of a graph edge update's [`EdgeUpdateReport`]).
+    /// of a graph edge update's
+    /// [`EdgeUpdateReport`](msd_metric::EdgeUpdateReport)).
     fn ingest_distance_delta(
         &mut self,
         u: ElementId,
@@ -1765,7 +1804,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     }
 
     /// Arrival repair (the [`SessionPerturbation::Arrive`] arm; shared
-    /// with the graph-backed entry points). Refills are **deferred** to
+    /// with the graph payload). Refills are **deferred** to
     /// the batch-final [`DynamicSession::refill_shortfall`] pass, so a
     /// short solution greedily refills once against the whole batch's
     /// union state (ROADMAP follow-up (e)).
@@ -1790,7 +1829,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     }
 
     /// Departure repair (the [`SessionPerturbation::Depart`] arm; shared
-    /// with the graph-backed entry points). Like arrivals, the greedy
+    /// with the graph payload). Like arrivals, the greedy
     /// refill replacing a departed member is deferred to the batch-final
     /// [`DynamicSession::refill_shortfall`] pass.
     fn ingest_departure(&mut self, u: ElementId, pending: &mut PendingScan) {
@@ -1982,7 +2021,27 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         }
     }
 
-    // -- validation helpers shared by the `try_*` entry points ----------
+    // -- validation helpers of the Validation::Strict pass ---------------
+
+    /// Runs `check` over the batch in order — `sim` overlays the batch's
+    /// earlier arrivals and departures (see
+    /// [`DynamicSession::simulated_resident`]) — and rejects the batch at
+    /// its first offender.
+    fn validate_each<P: Copy>(
+        &self,
+        batch: &[P],
+        check: impl Fn(
+            &Self,
+            P,
+            &mut std::collections::HashMap<ElementId, bool>,
+        ) -> Result<(), PerturbationError>,
+    ) -> Result<(), SessionError> {
+        let mut sim = std::collections::HashMap::new();
+        for (index, &p) in batch.iter().enumerate() {
+            check(self, p, &mut sim).map_err(|error| SessionError::Rejected { index, error })?;
+        }
+        Ok(())
+    }
 
     fn check_in_range(&self, u: ElementId) -> Result<(), PerturbationError> {
         let n = self.dist.ground_size();
@@ -2059,6 +2118,174 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         sim.insert(u, false);
         Ok(())
     }
+
+    fn validate_edge_endpoints(&self, u: ElementId, v: ElementId) -> Result<(), PerturbationError> {
+        let n = self.dist.ground_size();
+        if (u as usize) >= n || (v as usize) >= n {
+            return Err(EdgeUpdateError::EndpointOutOfRange { u, v, n }.into());
+        }
+        if u == v {
+            return Err(EdgeUpdateError::SelfLoop { u }.into());
+        }
+        Ok(())
+    }
+
+    /// Restores everything [`DynamicSession::rollback_to`] restores except
+    /// the metric, which the caller moves or clones back in.
+    fn restore_all_but_metric(&mut self, checkpoint: &SessionCheckpoint<M>) {
+        assert_eq!(
+            checkpoint.active.len(),
+            self.dist.ground_size(),
+            "checkpoint from a different ground set"
+        );
+        self.dist = checkpoint.dist.clone();
+        self.active.clone_from(&checkpoint.active);
+        self.p = checkpoint.p;
+        self.stable = checkpoint.stable;
+        self.quality.restore_state(&checkpoint.oracle);
+        self.cache.invalidate();
+    }
+
+    /// The one way to perturb a session: ingests one coalesced [`Batch`]
+    /// — every perturbation repaired in O(Δ), in order, with the scan
+    /// scopes of the direction analysis accumulating across the batch and
+    /// at most **one** swap scan over the union scope (see
+    /// [`ScanExtent`]). Run [`DynamicSession::update_until_stable`]
+    /// afterwards to restore single-swap optimality before reading the
+    /// solution. An empty batch is a no-op.
+    ///
+    /// The payload is [`SessionPerturbation`] for a session over any
+    /// [`PerturbableMetric`], or [`GraphPerturbation`] for one over any
+    /// (cloneable) [`EdgePerturbableMetric`]: each edge update is repaired
+    /// by the metric itself (O(n + affected·n), never the Floyd–Warshall
+    /// cube) and every pair its
+    /// [`EdgeUpdateReport`](msd_metric::EdgeUpdateReport) lists becomes one
+    /// O(Δ) distance patch. The [`Validation`] knob on the batch selects
+    /// the strict transactional contract (default) or the legacy trusting
+    /// one. Anything that converts into a [`Batch`] is accepted — a
+    /// `Vec`, slice, array, or single perturbation, all defaulting to
+    /// [`Validation::Strict`]. Where the session holds a scan pool
+    /// (`parallel` feature, `with_scan_pool`) a needed full scan runs
+    /// chunked on it; the repairs and narrow scans stay serial.
+    ///
+    /// # Errors
+    ///
+    /// Under [`Validation::Strict`], [`SessionError::Rejected`] carrying
+    /// the offending index and typed [`PerturbationError`]; the session
+    /// state is bit-identical to the pre-call state. Under
+    /// [`Validation::Legacy`], a matrix batch never fails, and a graph
+    /// batch whose edge update the metric rejects (disconnecting removal,
+    /// missing edge, invalid endpoints or weight) stops there with
+    /// [`SessionError::PartialCommit`]: the earlier perturbations stay
+    /// applied, their refills are reported, no scan runs, and the session
+    /// conservatively forfeits its stability flag.
+    ///
+    /// # Panics
+    ///
+    /// Under [`Validation::Legacy`] only: out-of-range elements, invalid
+    /// weights/distances, or a `SetWeight` when the quality oracle has no
+    /// modular weight data.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use msd_core::{greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig};
+    /// use msd_core::SessionPerturbation::{Depart, SetDistance, SetWeight};
+    /// use msd_metric::DistanceMatrix;
+    /// use msd_submodular::ModularFunction;
+    ///
+    /// let metric = DistanceMatrix::from_fn(6, |u, v| 1.0 + f64::from(u + v) * 0.1);
+    /// let quality = ModularFunction::new(vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1]);
+    /// let problem = DiversificationProblem::new(metric, quality, 0.5);
+    /// let init = greedy_b(&problem, 3, GreedyBConfig::default());
+    /// let mut session = DynamicSession::new(&problem, &init);
+    ///
+    /// let report = session
+    ///     .ingest(vec![
+    ///         SetWeight { u: 2, value: 3.0 },
+    ///         SetDistance { u: 0, v: 1, value: 0.4 },
+    ///         Depart { u: init[0] },
+    ///     ])
+    ///     .expect("well-formed batch");
+    /// assert_eq!(report.ingested, 3);
+    /// session.update_until_stable(16);
+    /// assert!(session.is_stable());
+    /// ```
+    ///
+    /// A strict batch is all-or-nothing:
+    ///
+    /// ```
+    /// use msd_core::{
+    ///     greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig, PerturbationError,
+    ///     SessionError, SessionPerturbation,
+    /// };
+    /// use msd_metric::DistanceMatrix;
+    /// use msd_submodular::ModularFunction;
+    ///
+    /// let metric = DistanceMatrix::from_fn(6, |u, v| 1.0 + f64::from(u + v) * 0.1);
+    /// let quality = ModularFunction::new(vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1]);
+    /// let problem = DiversificationProblem::new(metric, quality, 0.5);
+    /// let init = greedy_b(&problem, 3, GreedyBConfig::default());
+    /// let mut session = DynamicSession::new(&problem, &init);
+    ///
+    /// let before = (session.solution().to_vec(), session.objective());
+    /// let err = session
+    ///     .ingest(vec![
+    ///         SessionPerturbation::SetDistance { u: 0, v: 1, value: 1.7 }, // valid
+    ///         SessionPerturbation::SetDistance { u: 2, v: 3, value: f64::NAN },
+    ///     ])
+    ///     .unwrap_err();
+    /// assert!(matches!(
+    ///     err,
+    ///     SessionError::Rejected { index: 1, error: PerturbationError::InvalidDistance { .. } }
+    /// ));
+    /// // All-or-nothing: the valid first entry did not commit either.
+    /// assert_eq!((session.solution().to_vec(), session.objective()), before);
+    /// ```
+    pub fn ingest<P: Payload<M>>(
+        &mut self,
+        batch: impl Into<Batch<P>>,
+    ) -> Result<BatchReport, SessionError> {
+        let batch = batch.into();
+        let perturbations = batch.perturbations();
+        let checkpoint = match batch.validation() {
+            Validation::Strict => P::validate(self, perturbations)?,
+            Validation::Legacy => None,
+        };
+        let mut refills = Vec::new();
+        let mut pending = PendingScan::default();
+        for (index, &p) in perturbations.iter().enumerate() {
+            let Err(error) = p.ingest_into(self, &mut pending) else {
+                continue;
+            };
+            if let Some(checkpoint) = checkpoint {
+                self.restore_all_but_metric(&checkpoint);
+                self.metric = checkpoint.metric;
+                return Err(SessionError::Rejected {
+                    index,
+                    error: error.into(),
+                });
+            }
+            // The failing update left the metric untouched and every
+            // earlier repair is already applied, so the caches stay
+            // consistent — but the accumulated scan scopes are being
+            // dropped, so conservatively forfeit stability. Any departure
+            // already ingested still gets its (deferred) refill, so the
+            // partial state honors the solution-size contract and the
+            // error reports the committed refills.
+            self.refill_shortfall(&pending, &mut refills);
+            if index > 0 {
+                self.stable = false;
+            }
+            return Err(SessionError::PartialCommit(GraphBatchError {
+                error,
+                ingested: index,
+                refills,
+            }));
+        }
+        self.refill_shortfall(&pending, &mut refills);
+        Ok(self.finish_batch(pending, refills, perturbations.len()))
+    }
 }
 
 impl<'q, M: Metric + Clone, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
@@ -2090,675 +2317,168 @@ impl<'q, M: Metric + Clone, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M,
     /// Panics when `checkpoint` was taken over a different ground set —
     /// a checkpoint/session pairing bug, not a data fault.
     pub fn rollback_to(&mut self, checkpoint: &SessionCheckpoint<M>) {
-        assert_eq!(
-            checkpoint.active.len(),
-            self.dist.ground_size(),
-            "checkpoint from a different ground set"
-        );
+        self.restore_all_but_metric(checkpoint);
         self.metric = checkpoint.metric.clone();
-        self.dist = checkpoint.dist.clone();
-        self.active.clone_from(&checkpoint.active);
-        self.p = checkpoint.p;
-        self.stable = checkpoint.stable;
-        self.quality.restore_state(&checkpoint.oracle);
-        self.cache.invalidate();
     }
 }
 
-impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// The unified matrix-perturbation entry point: ingests one coalesced
-    /// [`Batch`] — every perturbation repaired in O(Δ), in order, with the
-    /// scan scopes of the direction analysis accumulating across the batch
-    /// and at most **one** swap scan over the union scope (see
-    /// [`ScanExtent`]). Run [`DynamicSession::update_until_stable`]
-    /// afterwards to restore single-swap optimality before reading the
-    /// solution. An empty batch is a no-op.
-    ///
-    /// This subsumes the deprecated `apply` / `try_apply` / `apply_batch`
-    /// / `try_apply_batch` matrix: the [`Validation`] knob on the batch
-    /// selects between the strict transactional contract (default — the
-    /// whole batch is checked up front and either every perturbation
-    /// ingests or none does) and the legacy trusting contract (no
-    /// validation pass; malformed input panics). Anything that converts
-    /// into a [`Batch`] is accepted — a `Vec`, slice, array, or single
-    /// [`SessionPerturbation`], all defaulting to [`Validation::Strict`].
-    ///
-    /// # Errors
-    ///
-    /// Under [`Validation::Strict`], [`SessionError::Rejected`] carrying
-    /// the offending index and typed [`PerturbationError`]; the session
-    /// state is bit-identical to the pre-call state. Under
-    /// [`Validation::Legacy`] this never returns `Err`.
-    ///
-    /// # Panics
-    ///
-    /// Under [`Validation::Legacy`] only: out-of-range elements, invalid
-    /// weights/distances, or a [`SessionPerturbation::SetWeight`] when
-    /// the quality oracle has no modular weight data.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use msd_core::{greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig};
-    /// use msd_core::SessionPerturbation::{Depart, SetDistance, SetWeight};
-    /// use msd_metric::DistanceMatrix;
-    /// use msd_submodular::ModularFunction;
-    ///
-    /// let metric = DistanceMatrix::from_fn(6, |u, v| 1.0 + f64::from(u + v) * 0.1);
-    /// let quality = ModularFunction::new(vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1]);
-    /// let problem = DiversificationProblem::new(metric, quality, 0.5);
-    /// let init = greedy_b(&problem, 3, GreedyBConfig::default());
-    /// let mut session = DynamicSession::new(&problem, &init);
-    ///
-    /// let report = session
-    ///     .ingest(vec![
-    ///         SetWeight { u: 2, value: 3.0 },
-    ///         SetDistance { u: 0, v: 1, value: 0.4 },
-    ///         Depart { u: init[0] },
-    ///     ])
-    ///     .expect("well-formed batch");
-    /// assert_eq!(report.ingested, 3);
-    /// session.update_until_stable(16);
-    /// assert!(session.is_stable());
-    /// ```
-    pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<BatchReport, SessionError> {
-        let batch = batch.into();
-        match batch.validation() {
-            Validation::Strict => self.validate_batch(batch.perturbations())?,
-            Validation::Legacy => {}
-        }
-        Ok(self.ingest_unchecked(batch.perturbations()))
+/// Matrix payload: every malformed shape is statically detectable,
+/// including availability violations against the batch's own earlier
+/// arrivals/departures (validation simulates the mask), so a rejected
+/// batch provably never mutated the session — no checkpoint is spent.
+impl<M: PerturbableMetric> Payload<M> for SessionPerturbation {
+    fn validate<Q: IncrementalOracle + ?Sized>(
+        session: &DynamicSession<'_, M, Q>,
+        batch: &[Self],
+    ) -> Result<Option<SessionCheckpoint<M>>, SessionError> {
+        session.validate_each(batch, |s, p, sim| match p {
+            Self::SetWeight { u, value } => s.validate_weight(u, value),
+            Self::SetDistance { u, v, value } => s.validate_distance(u, v, value),
+            Self::Arrive { u } => s.validate_arrival(u, sim),
+            Self::Depart { u } => s.validate_departure(u, sim),
+        })?;
+        Ok(None)
     }
 
-    /// The trusting ingestion core shared by [`DynamicSession::ingest`],
-    /// the deprecated forwarders, and the crate-internal drivers (sharded
-    /// engine, serving replay) whose input is already validated.
-    pub(crate) fn ingest_unchecked(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> BatchReport {
-        self.apply_batch_via(perturbations, Self::scan_full_collect)
-    }
-
-    /// Applies one perturbation — O(Δ) cache repair, then one oblivious
-    /// single-swap update over the repaired caches (skipped or narrowed
-    /// when local optimality provably survives; see [`ScanExtent`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range elements, invalid weights/distances, or a
-    /// [`SessionPerturbation::SetWeight`] when the quality oracle has no
-    /// modular weight data.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `ingest` with a single perturbation (wrap in `Batch` + `Validation::Legacy` for the old trusting contract)"
-    )]
-    pub fn apply(&mut self, perturbation: SessionPerturbation) -> UpdateReport {
-        let report = self.ingest_unchecked(std::slice::from_ref(&perturbation));
-        UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        }
-    }
-
-    /// Ingests a whole burst of perturbations: every perturbation is
-    /// repaired in O(Δ) — exactly as by [`DynamicSession::apply`], in
-    /// order, including departure removals and greedy refills — while the
-    /// scan scopes of the direction analysis accumulate across the batch.
-    /// At most **one** swap scan then runs over the union scope (see
-    /// [`ScanExtent`]); it is skipped entirely when every perturbation in
-    /// the batch is provably irrelevant. An empty batch is a no-op.
-    ///
-    /// Compared to k sequential [`DynamicSession::apply`] calls this
-    /// performs at most one swap instead of up to k; run
-    /// [`DynamicSession::update_until_stable`] afterwards to restore
-    /// single-swap optimality before reading the solution (the Figure 1
-    /// redraw pattern — see the batch equivalence suite in `msd-bench`).
-    ///
-    /// # Panics
-    ///
-    /// As [`DynamicSession::apply`], per ingested perturbation.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `ingest` (wrap in `Batch` + `Validation::Legacy` for the old trusting contract)"
-    )]
-    pub fn apply_batch(&mut self, perturbations: &[SessionPerturbation]) -> BatchReport {
-        self.ingest_unchecked(perturbations)
-    }
-
-    /// Validating [`DynamicSession::apply`]: rejects a malformed
-    /// perturbation with a typed [`PerturbationError`] instead of
-    /// panicking, leaving the session untouched.
-    ///
-    /// # Errors
-    ///
-    /// NaN / infinite / negative distances and weights, out-of-range
-    /// ids, weight rewrites against an oracle without modular weight
-    /// data, arrivals of resident elements, and departures of
-    /// non-resident elements. (The panicking [`DynamicSession::apply`]
-    /// silently ignores the latter two; an untrusted stream containing
-    /// them is malformed, so the validating path rejects.)
-    #[deprecated(since = "0.11.0", note = "use `ingest` (strict by default)")]
-    pub fn try_apply(
-        &mut self,
-        perturbation: SessionPerturbation,
-    ) -> Result<UpdateReport, PerturbationError> {
-        match self.ingest(std::slice::from_ref(&perturbation)) {
-            Ok(report) => Ok(UpdateReport {
-                outcome: report.outcome,
-                refill: report.refills.last().copied(),
-                scan: report.scan,
-            }),
-            Err(SessionError::Rejected { error, .. }) => Err(error),
-            Err(SessionError::PartialCommit(_)) => {
-                unreachable!("matrix batches are all-or-nothing")
-            }
-        }
-    }
-
-    /// Validating, **transactional** [`DynamicSession::apply_batch`]:
-    /// the whole batch is checked up front and either every perturbation
-    /// ingests (one union-scoped scan, the `apply_batch` contract) or
-    /// none does — all-or-nothing over untrusted input.
-    ///
-    /// Every malformed shape a matrix perturbation can take (see
-    /// [`DynamicSession::try_apply`]) is statically detectable, including
-    /// availability violations against the batch's own earlier
-    /// arrivals/departures (validation simulates the mask), so a
-    /// rejected batch provably never mutated the session — no undo log
-    /// or checkpoint is spent on the happy path. Graph batches, whose
-    /// failures depend on in-batch connectivity, roll back through a
-    /// [`SessionCheckpoint`] instead (see
-    /// [`DynamicSession::try_apply_graph_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Rejected`] carrying the offending index and the
-    /// typed [`PerturbationError`]; the session state is bit-identical
-    /// to the pre-call state.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use msd_core::{
-    ///     greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig, PerturbationError,
-    ///     SessionError, SessionPerturbation,
-    /// };
-    /// use msd_metric::DistanceMatrix;
-    /// use msd_submodular::ModularFunction;
-    ///
-    /// let metric = DistanceMatrix::from_fn(6, |u, v| 1.0 + f64::from(u + v) * 0.1);
-    /// let quality = ModularFunction::new(vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1]);
-    /// let problem = DiversificationProblem::new(metric, quality, 0.5);
-    /// let init = greedy_b(&problem, 3, GreedyBConfig::default());
-    /// let mut session = DynamicSession::new(&problem, &init);
-    ///
-    /// let before = (session.solution().to_vec(), session.objective());
-    /// let err = session
-    ///     .ingest(vec![
-    ///         SessionPerturbation::SetDistance { u: 0, v: 1, value: 1.7 }, // valid
-    ///         SessionPerturbation::SetDistance { u: 2, v: 3, value: f64::NAN },
-    ///     ])
-    ///     .unwrap_err();
-    /// assert!(matches!(
-    ///     err,
-    ///     SessionError::Rejected { index: 1, error: PerturbationError::InvalidDistance { .. } }
-    /// ));
-    /// // All-or-nothing: the valid first entry did not commit either.
-    /// assert_eq!((session.solution().to_vec(), session.objective()), before);
-    /// ```
-    #[deprecated(since = "0.11.0", note = "use `ingest` (strict by default)")]
-    pub fn try_apply_batch(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        self.ingest(perturbations)
-    }
-
-    fn validate_batch(&self, perturbations: &[SessionPerturbation]) -> Result<(), SessionError> {
-        let mut sim = std::collections::HashMap::new();
-        for (index, &p) in perturbations.iter().enumerate() {
-            let check = match p {
-                SessionPerturbation::SetWeight { u, value } => self.validate_weight(u, value),
-                SessionPerturbation::SetDistance { u, v, value } => {
-                    self.validate_distance(u, v, value)
-                }
-                SessionPerturbation::Arrive { u } => self.validate_arrival(u, &mut sim),
-                SessionPerturbation::Depart { u } => self.validate_departure(u, &mut sim),
-            };
-            if let Err(error) = check {
-                return Err(SessionError::Rejected { index, error });
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared batched repair + scan driver; `full_scan` supplies the
-    /// full-scan strategy (serial or chunked parallel — both produce the
-    /// identical lowest-index-tie-break winner and, when the candidate
-    /// cache is enabled, identical rank tables).
-    fn apply_batch_via(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
-    ) -> BatchReport {
-        let mut refills = Vec::new();
-        let mut pending = PendingScan::default();
-        for &p in perturbations {
-            self.ingest_one(p, &mut pending);
-        }
-        self.refill_shortfall(&pending, &mut refills);
-        self.finish_batch(pending, refills, perturbations.len(), full_scan)
-    }
-
-    /// Repairs the session caches for one perturbation in O(Δ) and
-    /// records which part of the swap-gain matrix may have *risen* (the
-    /// module docs' direction analysis): nothing, candidate columns,
-    /// uniformly shifted member rows, or an unconditional full scan.
-    /// Candidate-cache dirt (non-uniform single-column changes) is
-    /// recorded even for optimality-preserving perturbations — the rank
-    /// tables must stay honest for later cached scans.
-    fn ingest_one(&mut self, perturbation: SessionPerturbation, pending: &mut PendingScan) {
-        match perturbation {
-            SessionPerturbation::SetWeight { u, value } => self.ingest_weight(u, value, pending),
-            SessionPerturbation::SetDistance { u, v, value } => {
-                let old = self.metric.set_distance(u, v, value);
-                self.ingest_distance_delta(u, v, value - old, pending);
-            }
-            SessionPerturbation::Arrive { u } => self.ingest_arrival(u, pending),
-            SessionPerturbation::Depart { u } => self.ingest_departure(u, pending),
-        }
-    }
-}
-
-/// Graph-backed session entry points: edge updates over an
-/// [`EdgePerturbableMetric`] (e.g. `msd_metric::DynamicGraphMetric`)
-/// flow through the same O(Δ) repair, direction analysis, scan-scope
-/// narrowing and candidate-cache dirt tracking as matrix perturbations —
-/// the metric repairs its own induced distances and hands back the exact
-/// set of moved `(i, j)` pairs, each of which becomes one
-/// [`DynamicSession::apply`]-style distance patch.
-impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Applies one graph perturbation — the metric's incremental repair
-    /// (O(n + affected·n) for an edge update, never the Floyd–Warshall
-    /// cube), O(Δ) session-cache patches for every moved pair, then one
-    /// oblivious single-swap update over the repaired caches (skipped or
-    /// narrowed when local optimality provably survives, exactly as
-    /// [`DynamicSession::apply`]).
-    ///
-    /// # Errors
-    ///
-    /// An edge update the metric rejects (disconnecting removal, missing
-    /// edge, invalid endpoints or weight) fails with the metric's typed
-    /// [`EdgeUpdateError`]; the metric and every session cache are left
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// As [`DynamicSession::apply`].
-    pub fn apply_graph(
-        &mut self,
-        perturbation: GraphPerturbation,
-    ) -> Result<UpdateReport, EdgeUpdateError> {
-        let report = self
-            .apply_graph_batch(std::slice::from_ref(&perturbation))
-            .map_err(|e| {
-                debug_assert!(e.ingested == 0 && e.refills.is_empty());
-                e.error
-            })?;
-        Ok(UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        })
-    }
-
-    /// Ingests a burst of graph perturbations — every edge update is
-    /// repaired incrementally and patched into the session in O(Δ), the
-    /// scan scopes accumulate across the batch, and at most **one** swap
-    /// scan runs over the union (the [`DynamicSession::apply_batch`]
-    /// contract over the edge-update perturbation model).
-    ///
-    /// # Errors
-    ///
-    /// On a disconnecting removal the failed update is not applied and
-    /// ingestion stops: every earlier perturbation's repair remains in
-    /// effect (the session stays consistent), no scan runs, and the
-    /// session conservatively forfeits its stability flag — the next
-    /// update or [`DynamicSession::step`] re-verifies. The returned
-    /// [`GraphBatchError`] carries the partial report (ingested count
-    /// and refills already committed to the solution), so the caller
-    /// can reconcile and simply continue with the remaining
-    /// perturbations.
-    ///
-    /// # Panics
-    ///
-    /// As [`DynamicSession::apply_graph`], per ingested perturbation.
-    pub fn apply_graph_batch(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, GraphBatchError> {
-        self.apply_graph_batch_via(perturbations, Self::scan_full_collect)
-    }
-
-    /// Shared fallible driver for the graph entry points (serial or
-    /// parallel full-scan strategy, identical winners).
-    fn apply_graph_batch_via(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
-    ) -> Result<BatchReport, GraphBatchError> {
-        let mut refills = Vec::new();
-        let mut pending = PendingScan::default();
-        for (i, &p) in perturbations.iter().enumerate() {
-            if let Err(error) = self.ingest_graph(p, &mut pending) {
-                // The failing update left the metric untouched and every
-                // earlier repair is already applied, so the caches stay
-                // consistent — but the accumulated scan scopes are being
-                // dropped, so conservatively forfeit stability. Any
-                // departure already ingested still gets its (deferred)
-                // refill, so the partial state honors the solution-size
-                // contract and the error reports the committed refills.
-                self.refill_shortfall(&pending, &mut refills);
-                if i > 0 {
-                    self.stable = false;
-                }
-                return Err(GraphBatchError {
-                    error,
-                    ingested: i,
-                    refills,
-                });
-            }
-        }
-        self.refill_shortfall(&pending, &mut refills);
-        Ok(self.finish_batch(pending, refills, perturbations.len(), full_scan))
-    }
-
-    /// Repairs the caches for one graph perturbation: edge updates ask
-    /// the metric for its [`EdgeUpdateReport`] and patch every moved pair
-    /// through the shared distance-delta analysis; the weight /
-    /// availability arms are exactly [`SessionPerturbation`]'s.
-    fn ingest_graph(
-        &mut self,
-        perturbation: GraphPerturbation,
+    /// Direction analysis: records which part of the swap-gain matrix may
+    /// have *risen* — nothing, candidate columns, uniformly shifted member
+    /// rows, or an unconditional full scan. Candidate-cache dirt
+    /// (non-uniform single-column changes) is recorded even for
+    /// optimality-preserving perturbations — the rank tables must stay
+    /// honest for later cached scans.
+    fn ingest_into<Q: IncrementalOracle + ?Sized>(
+        self,
+        session: &mut DynamicSession<'_, M, Q>,
         pending: &mut PendingScan,
     ) -> Result<(), EdgeUpdateError> {
-        match perturbation {
-            GraphPerturbation::SetEdge { u, v, weight } => {
-                let report = self.metric.set_edge(u, v, weight)?;
-                self.ingest_edge_report(&report, pending);
+        match self {
+            Self::SetWeight { u, value } => session.ingest_weight(u, value, pending),
+            Self::SetDistance { u, v, value } => {
+                let old = session.metric.set_distance(u, v, value);
+                session.ingest_distance_delta(u, v, value - old, pending);
             }
-            GraphPerturbation::RemoveEdge { u, v } => {
-                let report = self.metric.remove_edge(u, v)?;
-                self.ingest_edge_report(&report, pending);
-            }
-            GraphPerturbation::SetWeight { u, value } => self.ingest_weight(u, value, pending),
-            GraphPerturbation::Arrive { u } => self.ingest_arrival(u, pending),
-            GraphPerturbation::Depart { u } => self.ingest_departure(u, pending),
+            Self::Arrive { u } => session.ingest_arrival(u, pending),
+            Self::Depart { u } => session.ingest_departure(u, pending),
         }
         Ok(())
     }
-
-    /// Converts an edge update's changed-pair set into the existing O(Δ)
-    /// distance patches and scan scoping — one
-    /// [`DynamicSession::ingest_distance_delta`] per moved pair.
-    fn ingest_edge_report(&mut self, report: &EdgeUpdateReport, pending: &mut PendingScan) {
-        for change in &report.changed {
-            self.ingest_distance_delta(change.u, change.v, change.new - change.old, pending);
-        }
-    }
 }
 
-/// Validating, transactional graph entry points (`M: Clone` buys the
-/// pre-batch [`SessionCheckpoint`]).
-impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Validating [`DynamicSession::apply_graph`]: rejects malformed
-    /// perturbations and metric-rejected edge updates with a typed
-    /// [`PerturbationError`] instead of panicking, leaving the session
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::try_apply`], plus every
-    /// [`EdgeUpdateError`] shape (wrapped as
-    /// [`PerturbationError::Edge`]).
-    pub fn try_apply_graph(
-        &mut self,
-        perturbation: GraphPerturbation,
-    ) -> Result<UpdateReport, PerturbationError> {
-        match self.try_apply_graph_batch(std::slice::from_ref(&perturbation)) {
-            Ok(report) => Ok(UpdateReport {
-                outcome: report.outcome,
-                refill: report.refills.last().copied(),
-                scan: report.scan,
+/// Graph payload: malformed shapes (invalid weights, out-of-range
+/// endpoints, self-loops, availability violations) are rejected up front;
+/// a removal of a missing edge or one that would disconnect the graph
+/// depends on the connectivity earlier batch entries create, so a batch
+/// holding a [`GraphPerturbation::RemoveEdge`] is checkpointed first
+/// (`M: Clone`) and purely additive batches pay no clone.
+impl<M: EdgePerturbableMetric + Clone> Payload<M> for GraphPerturbation {
+    fn validate<Q: IncrementalOracle + ?Sized>(
+        session: &DynamicSession<'_, M, Q>,
+        batch: &[Self],
+    ) -> Result<Option<SessionCheckpoint<M>>, SessionError> {
+        session.validate_each(batch, |s, p, sim| match p {
+            Self::SetEdge { u, v, weight } => s.validate_edge_endpoints(u, v).and_then(|()| {
+                if weight.is_finite() && weight >= 0.0 {
+                    Ok(())
+                } else {
+                    Err(EdgeUpdateError::InvalidWeight { u, v, weight }.into())
+                }
             }),
-            Err(SessionError::Rejected { error, .. }) => Err(error),
-            Err(SessionError::PartialCommit(_)) => {
-                unreachable!("the transactional graph path never partial-commits")
-            }
-        }
+            Self::RemoveEdge { u, v } => s.validate_edge_endpoints(u, v),
+            Self::SetWeight { u, value } => s.validate_weight(u, value),
+            Self::Arrive { u } => s.validate_arrival(u, sim),
+            Self::Depart { u } => s.validate_departure(u, sim),
+        })?;
+        let removes = batch.iter().any(|p| matches!(p, Self::RemoveEdge { .. }));
+        Ok(removes.then(|| session.checkpoint()))
     }
 
-    /// Validating, **transactional** counterpart of
-    /// [`DynamicSession::apply_graph_batch`]: all-or-nothing over
-    /// untrusted input. Malformed shapes (invalid weights, out-of-range
-    /// endpoints, self-loops, availability violations) are rejected up
-    /// front without mutating anything; runtime rejections — a removal
-    /// of a missing edge or one that would disconnect the graph, both of
-    /// which depend on the connectivity state earlier batch entries
-    /// created — roll the session back to a pre-batch
-    /// [`SessionCheckpoint`], bit-for-bit. The checkpoint is only taken
-    /// when the batch contains a [`GraphPerturbation::RemoveEdge`] (the
-    /// one shape that can fail after validation), so purely additive
-    /// batches pay no clone.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Rejected`] carrying the offending index and the
-    /// typed [`PerturbationError`]; the session state is bit-identical
-    /// to the pre-call state. (The partial-commit mode remains available
-    /// through [`DynamicSession::apply_graph_batch`].)
-    pub fn try_apply_graph_batch(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        let needs_checkpoint = self.validate_graph_batch(perturbations)?;
-        let checkpoint = needs_checkpoint.then(|| self.checkpoint());
-        self.apply_graph_batch(perturbations).map_err(|e| {
-            let Some(checkpoint) = checkpoint else {
-                unreachable!("only RemoveEdge fails post-validation, and it forces a checkpoint")
-            };
-            self.rollback_to(&checkpoint);
-            SessionError::Rejected {
-                index: e.ingested,
-                error: PerturbationError::Edge(e.error),
+    /// Edge updates ask the metric for its edge-update report and patch
+    /// every moved pair through the shared distance-delta analysis; the
+    /// weight / availability arms are exactly [`SessionPerturbation`]'s.
+    fn ingest_into<Q: IncrementalOracle + ?Sized>(
+        self,
+        session: &mut DynamicSession<'_, M, Q>,
+        pending: &mut PendingScan,
+    ) -> Result<(), EdgeUpdateError> {
+        let report = match self {
+            Self::SetEdge { u, v, weight } => session.metric.set_edge(u, v, weight)?,
+            Self::RemoveEdge { u, v } => session.metric.remove_edge(u, v)?,
+            Self::SetWeight { u, value } => {
+                session.ingest_weight(u, value, pending);
+                return Ok(());
             }
-        })
-    }
-
-    /// Static validation pass; `Ok(true)` when the batch needs a
-    /// pre-batch checkpoint (it contains a removal, whose missing-edge /
-    /// disconnection rejections are only discoverable at ingest time).
-    fn validate_graph_batch(
-        &self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<bool, SessionError> {
-        let mut sim = std::collections::HashMap::new();
-        let mut needs_checkpoint = false;
-        for (index, &p) in perturbations.iter().enumerate() {
-            let check = match p {
-                GraphPerturbation::SetEdge { u, v, weight } => {
-                    self.validate_edge_endpoints(u, v).and_then(|()| {
-                        if weight.is_finite() && weight >= 0.0 {
-                            Ok(())
-                        } else {
-                            Err(EdgeUpdateError::InvalidWeight { u, v, weight }.into())
-                        }
-                    })
-                }
-                GraphPerturbation::RemoveEdge { u, v } => {
-                    needs_checkpoint = true;
-                    self.validate_edge_endpoints(u, v)
-                }
-                GraphPerturbation::SetWeight { u, value } => self.validate_weight(u, value),
-                GraphPerturbation::Arrive { u } => self.validate_arrival(u, &mut sim),
-                GraphPerturbation::Depart { u } => self.validate_departure(u, &mut sim),
-            };
-            if let Err(error) = check {
-                return Err(SessionError::Rejected { index, error });
+            Self::Arrive { u } => {
+                session.ingest_arrival(u, pending);
+                return Ok(());
             }
-        }
-        Ok(needs_checkpoint)
-    }
-
-    fn validate_edge_endpoints(&self, u: ElementId, v: ElementId) -> Result<(), PerturbationError> {
-        let n = self.dist.ground_size();
-        if (u as usize) >= n || (v as usize) >= n {
-            return Err(EdgeUpdateError::EndpointOutOfRange { u, v, n }.into());
-        }
-        if u == v {
-            return Err(EdgeUpdateError::SelfLoop { u }.into());
+            Self::Depart { u } => {
+                session.ingest_departure(u, pending);
+                return Ok(());
+            }
+        };
+        for change in &report.changed {
+            session.ingest_distance_delta(change.u, change.v, change.new - change.old, pending);
         }
         Ok(())
     }
 }
 
-/// Thread-parallel session scan (`parallel` feature): the full swap scan
-/// runs chunked over the incoming candidate via
-/// `ScanPool::scan_chunks` (the session's explicit pool
-/// when [`DynamicSession::with_scan_pool`] was used, the ambient global
-/// pool otherwise), with the work floor weighted by the oracle's
-/// [`IncrementalOracle::scan_cost_hint`] — bit-identical outputs to
-/// [`DynamicSession::apply`] either way.
+/// Pooled scans (`parallel` feature): the full swap scan runs chunked over
+/// the incoming candidate via `ScanPool::scan_chunks`, with the work floor
+/// weighted by the oracle's [`IncrementalOracle::scan_cost_hint`] —
+/// bit-identical to the serial scan for any pool.
 #[cfg(feature = "parallel")]
-impl<'q, M: PerturbableMetric + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::apply`].
-    pub fn apply_parallel(&mut self, perturbation: SessionPerturbation) -> UpdateReport {
-        let report = self.apply_batch_parallel(std::slice::from_ref(&perturbation));
-        UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
+impl<'q, M: Metric + Sync, Q: IncrementalOracle + Sync + ?Sized> DynamicSession<'q, M, Q> {
+    /// Runs every full scan of this session — from
+    /// [`DynamicSession::ingest`] and [`DynamicSession::step`] alike —
+    /// chunked on `pool` (builder style); the repairs and the narrow
+    /// (column / cached) scans stay serial, they are O(Δ) and
+    /// O((K + dirty)·p). Sessions sharing one pool share its persistent
+    /// workers; a session without a pool scans serially. Purely a
+    /// scheduling knob — results are bit-identical for any pool.
+    pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
+        self.set_scan_pool(pool);
+        self
+    }
+
+    /// In-place form of [`DynamicSession::with_scan_pool`].
+    pub fn set_scan_pool(&mut self, pool: std::sync::Arc<crate::pool::ScanPool>) {
+        self.scan_pool = Some(Self::pooled_scan(pool));
+    }
+
+    /// The chunked scan over `pool`, for installing into sessions whose
+    /// `Sync` bounds the installer cannot name (the serving frontend's
+    /// later tenants).
+    pub(crate) fn pooled_scan(pool: std::sync::Arc<crate::pool::ScanPool>) -> PooledScan<'q, M, Q> {
+        PooledScan {
+            pool,
+            scan: Self::scan_full_collect_parallel,
         }
     }
 
-    /// Parallel [`DynamicSession::apply_batch`]: the repairs and any
-    /// narrow (column / cached) scan stay serial — they are O(Δ) and
-    /// O((K + dirty)·p) — while a needed full scan runs chunked under the
-    /// cost-weighted work floor.
-    pub fn apply_batch_parallel(&mut self, perturbations: &[SessionPerturbation]) -> BatchReport {
-        self.apply_batch_via(perturbations, Self::scan_full_collect_parallel)
-    }
-}
-
-/// Thread-parallel graph-backed entry points: edge-update repairs stay
-/// serial (they are the metric's O(affected·n) incremental pass), the
-/// full swap scan runs chunked — bit-identical to
-/// [`DynamicSession::apply_graph`].
-#[cfg(feature = "parallel")]
-impl<'q, M: EdgePerturbableMetric + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::apply_graph`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::apply_graph`].
-    pub fn apply_graph_parallel(
-        &mut self,
-        perturbation: GraphPerturbation,
-    ) -> Result<UpdateReport, EdgeUpdateError> {
-        let report = self
-            .apply_graph_batch_parallel(std::slice::from_ref(&perturbation))
-            .map_err(|e| e.error)?;
-        Ok(UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        })
-    }
-
-    /// Parallel [`DynamicSession::apply_graph_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::apply_graph_batch`].
-    pub fn apply_graph_batch_parallel(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, GraphBatchError> {
-        self.apply_graph_batch_via(perturbations, Self::scan_full_collect_parallel)
-    }
-}
-
-/// Parallel counterparts of the validating entry points — same
-/// validation and rollback semantics, chunked full scans.
-#[cfg(feature = "parallel")]
-impl<'q, M: PerturbableMetric + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::try_apply_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::try_apply_batch`].
-    pub fn try_apply_batch_parallel(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        self.validate_batch(perturbations)?;
-        Ok(self.apply_batch_parallel(perturbations))
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<'q, M: EdgePerturbableMetric + Clone + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::try_apply_graph_batch`]: same
-    /// all-or-nothing contract (checkpoint before removal-bearing
-    /// batches, bit-exact rollback on rejection).
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::try_apply_graph_batch`].
-    pub fn try_apply_graph_batch_parallel(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        let needs_checkpoint = self.validate_graph_batch(perturbations)?;
-        let checkpoint = needs_checkpoint.then(|| self.checkpoint());
-        self.apply_graph_batch_parallel(perturbations).map_err(|e| {
-            let Some(checkpoint) = checkpoint else {
-                unreachable!("only RemoveEdge fails post-validation, and it forces a checkpoint")
-            };
-            self.rollback_to(&checkpoint);
-            SessionError::Rejected {
-                index: e.ingested,
-                error: PerturbationError::Edge(e.error),
-            }
-        })
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
     /// Chunked counterpart of `scan_full`; falls back to the serial scan
     /// below the cost-weighted work floor (identical result).
-    fn scan_full_parallel(&self) -> Option<(ElementId, ElementId, f64)> {
+    fn scan_full_parallel(
+        &self,
+        pool: &crate::pool::ScanPool,
+    ) -> Option<(ElementId, ElementId, f64)> {
         let n = self.dist.ground_size();
         let work = n
             .saturating_mul(self.dist.len())
             .saturating_mul(self.quality.scan_cost_hint());
-        if !self.pool().worthwhile(work) {
+        if !pool.worthwhile(work) {
             return self.scan_full();
         }
-        let this = self;
         let load = self.knapsack_load();
-        self.pool().scan_chunks(
+        pool.scan_chunks(
             n,
             |lo, hi| {
                 crate::dynamic::scan_swap_chunk(
                     lo as ElementId,
                     hi as ElementId,
-                    this.dist.members(),
-                    |v| this.active[v as usize] && !this.dist.contains(v),
-                    |v, u| this.cell_score(load, v, u),
+                    self.dist.members(),
+                    |v| self.active[v as usize] && !self.dist.contains(v),
+                    |v, u| self.cell_score(load, v, u),
                 )
             },
             |&(_, _, gain)| gain,
@@ -2769,23 +2489,20 @@ impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
     /// merge in index order (stable toward earlier candidates), so both
     /// the winner and the installed cache are bit-identical to the serial
     /// collecting scan. Falls back below the cost-weighted work floor.
-    fn scan_full_collect_parallel(
-        &self,
-    ) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>) {
+    fn scan_full_collect_parallel(&self, pool: &crate::pool::ScanPool) -> FullScan {
         if self.cache.k == 0 || !self.constraint.is_cardinality() {
-            return (self.scan_full_parallel(), None);
+            return (self.scan_full_parallel(pool), None);
         }
         let n = self.dist.ground_size();
         let work = n
             .saturating_mul(self.dist.len())
             .saturating_mul(self.quality.scan_cost_hint());
-        if !self.pool().worthwhile(work) {
+        if !pool.worthwhile(work) {
             return self.scan_full_collect();
         }
-        let this = self;
-        let (best, coll) = self.pool().fold_chunks(
+        let (best, coll) = pool.fold_chunks(
             n,
-            |lo, hi| this.scan_chunk_collect(lo as ElementId, hi as ElementId),
+            |lo, hi| self.scan_chunk_collect(lo as ElementId, hi as ElementId),
             |(best_l, coll_l), (best_r, coll_r)| {
                 let best = match (best_l, best_r) {
                     // Strictly greater wins; ties keep the earlier chunk.
@@ -2800,15 +2517,33 @@ impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
 }
 
 #[cfg(test)]
-// The suite deliberately keeps exercising the deprecated `apply` family:
-// the forwarders must stay bit-identical to `ingest` until removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::dynamic::oblivious_update_step;
     use crate::greedy::{greedy_b, GreedyBConfig};
     use msd_metric::DistanceMatrix;
     use msd_submodular::{CoverageFunction, ModularFunction};
+
+    /// A trusting ([`Validation::Legacy`]) batch of `perturbations`.
+    fn legacy<P: Clone>(perturbations: &[P]) -> Batch<P> {
+        Batch::from(perturbations).with_validation(Validation::Legacy)
+    }
+
+    /// The typed error of a rejected strict one-perturbation batch.
+    fn rejected(err: SessionError) -> PerturbationError {
+        match err {
+            SessionError::Rejected { index: 0, error } => error,
+            other => panic!("expected a rejection at index 0, got {other:?}"),
+        }
+    }
+
+    /// The partial report a trusting graph batch stopped with.
+    fn partial(err: SessionError) -> GraphBatchError {
+        match err {
+            SessionError::PartialCommit(e) => e,
+            other => panic!("expected a partial commit, got {other:?}"),
+        }
+    }
 
     fn instance(seed: u64, n: usize) -> DiversificationProblem<DistanceMatrix, ModularFunction> {
         let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -2869,7 +2604,9 @@ mod tests {
                         mirror.metric_mut().set(u, v, value)
                     }
                 }
-                let report = session.apply(pert.into());
+                let report = session
+                    .ingest(legacy(&[SessionPerturbation::from(pert)]))
+                    .unwrap();
                 let expected = oblivious_update_step(&mirror, &mut sol);
                 assert_eq!(
                     report.outcome.swap, expected.swap,
@@ -2897,30 +2634,36 @@ mod tests {
             let mut outs = (0..16u32).filter(|&x| !s.contains(x));
             (outs.next().unwrap(), outs.next().unwrap())
         };
-        let r = s.apply(SessionPerturbation::SetDistance {
-            u: a,
-            v: b,
-            value: 1.99,
-        });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetDistance {
+                u: a,
+                v: b,
+                value: 1.99,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Skipped);
         assert_eq!(r.outcome.swap, None);
         assert!(s.is_stable());
         // Mixed endpoints, distance decrease: candidate gains only fall.
         let m = s.solution()[0];
         let old = s.metric().distance(a, m);
-        let r = s.apply(SessionPerturbation::SetDistance {
-            u: a,
-            v: m,
-            value: old * 0.5,
-        });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetDistance {
+                u: a,
+                v: m,
+                value: old * 0.5,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Skipped);
         // Mixed endpoints, distance increase: only the outside endpoint's
         // column can have turned positive — a column scan suffices.
-        let r = s.apply(SessionPerturbation::SetDistance {
-            u: a,
-            v: m,
-            value: old * 2.0,
-        });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetDistance {
+                u: a,
+                v: m,
+                value: old * 2.0,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Column);
         // Weight directions: member increase skips, member decrease
         // re-verifies the member's row through the candidate cache.
@@ -2928,14 +2671,22 @@ mod tests {
         assert!(s.is_stable());
         let m = s.solution()[0];
         assert_eq!(
-            s.apply(SessionPerturbation::SetWeight { u: m, value: 6.0 })
-                .scan,
+            s.ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: m,
+                value: 6.0
+            }]))
+            .unwrap()
+            .scan,
             ScanExtent::Skipped,
             "raising a member's weight preserves single-swap optimality"
         );
         assert_eq!(
-            s.apply(SessionPerturbation::SetWeight { u: m, value: 0.01 })
-                .scan,
+            s.ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: m,
+                value: 0.01
+            }]))
+            .unwrap()
+            .scan,
             ScanExtent::Cached
         );
     }
@@ -2963,8 +2714,10 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let r = s.apply(SessionPerturbation::Depart { u: leaving });
-        assert_eq!(r.refill, Some(expected_refill));
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::Depart { u: leaving }]))
+            .unwrap();
+        assert_eq!(r.refills.last().copied(), Some(expected_refill));
         assert!(!s.contains(leaving));
         assert!(!s.is_active(leaving));
         assert_eq!(s.solution().len(), 4);
@@ -2975,7 +2728,9 @@ mod tests {
         let outsider = (0..12u32)
             .find(|&x| !s.contains(x) && s.is_active(x))
             .unwrap();
-        let r = s.apply(SessionPerturbation::Depart { u: outsider });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::Depart { u: outsider }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Skipped);
         // Perturbations touching only the departed element are skippable
         // in *any* direction — it is in no feasible swap. (Values are
@@ -2983,31 +2738,41 @@ mod tests {
         // unperturbed problem still holds.)
         let m0 = s.solution()[0];
         let d_old = s.metric().distance(outsider, m0);
-        let r = s.apply(SessionPerturbation::SetDistance {
-            u: outsider,
-            v: m0,
-            value: d_old * 3.0,
-        });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetDistance {
+                u: outsider,
+                v: m0,
+                value: d_old * 3.0,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Skipped);
         let w_old = problem.quality().weight(outsider);
-        let r = s.apply(SessionPerturbation::SetWeight {
-            u: outsider,
-            value: w_old + 50.0,
-        });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: outsider,
+                value: w_old + 50.0,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Skipped);
-        s.apply(SessionPerturbation::SetDistance {
+        s.ingest(legacy(&[SessionPerturbation::SetDistance {
             u: outsider,
             v: m0,
             value: d_old,
-        });
-        s.apply(SessionPerturbation::SetWeight {
+        }]))
+        .unwrap();
+        s.ingest(legacy(&[SessionPerturbation::SetWeight {
             u: outsider,
             value: w_old,
-        });
+        }]))
+        .unwrap();
         // Re-arrival scans only the new column.
-        let r = s.apply(SessionPerturbation::Arrive { u: outsider });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::Arrive { u: outsider }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Column);
-        let r = s.apply(SessionPerturbation::Arrive { u: leaving });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::Arrive { u: leaving }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Column);
         // Objective cache stays consistent with a slice recomputation.
         let direct = problem.objective(s.solution());
@@ -3026,7 +2791,9 @@ mod tests {
             .enumerate()
         {
             mirror.metric_mut().set(u, v, value);
-            let report = session.apply(SessionPerturbation::SetDistance { u, v, value });
+            let report = session
+                .ingest(legacy(&[SessionPerturbation::SetDistance { u, v, value }]))
+                .unwrap();
             let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(report.outcome.swap, expected.swap, "step {step}");
             assert_eq!(session.solution(), &sol[..], "step {step}");
@@ -3049,7 +2816,12 @@ mod tests {
         let mut s = DynamicSession::new(&problem, &[0]);
         s.update_until_stable(10);
         assert!(s.is_stable());
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.5 });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: 0,
+                value: 0.5,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Cached);
         assert_eq!(r.outcome.swap, Some((0, 1)));
         assert_eq!(s.solution(), &[1]);
@@ -3060,7 +2832,11 @@ mod tests {
     fn weight_perturbation_panics_off_the_modular_family() {
         let problem = coverage_instance(8);
         let mut s = DynamicSession::new(&problem, &[0, 1]);
-        s.apply(SessionPerturbation::SetWeight { u: 2, value: 1.0 });
+        s.ingest(legacy(&[SessionPerturbation::SetWeight {
+            u: 2,
+            value: 1.0,
+        }]))
+        .unwrap();
     }
 
     #[test]
@@ -3076,11 +2852,13 @@ mod tests {
         let problem = instance(5, 6);
         let all: Vec<ElementId> = (0..6).collect();
         let mut s = DynamicSession::new(&problem, &all);
-        let r = s.apply(SessionPerturbation::SetDistance {
-            u: 1,
-            v: 4,
-            value: 1.3,
-        });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetDistance {
+                u: 1,
+                v: 4,
+                value: 1.3,
+            }]))
+            .unwrap();
         assert_eq!(r.outcome.swap, None);
         assert_eq!(s.solution().len(), 6);
         // p = 1: holds the best singleton under λ = 0-style dominance.
@@ -3088,7 +2866,12 @@ mod tests {
         let weights = vec![0.1, 0.2, 5.0, 0.4, 0.3];
         let p1 = DiversificationProblem::new(metric, ModularFunction::new(weights), 0.0);
         let mut s = DynamicSession::new(&p1, &[0]);
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.05 });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: 0,
+                value: 0.05,
+            }]))
+            .unwrap();
         assert_eq!(r.outcome.swap, Some((0, 2)));
         assert_eq!(s.solution(), &[2]);
     }
@@ -3098,7 +2881,7 @@ mod tests {
         let problem = instance(2, 10);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
         let before = s.solution().to_vec();
-        let r = s.apply_batch(&[]);
+        let r = s.ingest(legacy::<SessionPerturbation>(&[])).unwrap();
         assert_eq!(r.ingested, 0);
         assert_eq!(r.outcome.swap, None);
         assert_eq!(r.scan, ScanExtent::Skipped);
@@ -3137,7 +2920,7 @@ mod tests {
             },
             SessionPerturbation::SetWeight { u: a, value: 0.0 },
         ];
-        let r = s.apply_batch(&batch);
+        let r = s.ingest(legacy(&batch)).unwrap();
         assert_eq!(r.scan, ScanExtent::Skipped);
         assert_eq!(r.outcome.swap, None);
         assert_eq!(r.ingested, 3);
@@ -3152,7 +2935,7 @@ mod tests {
         // and must reproduce, swap for swap, the reference that applies
         // every repair to a mirrored instance first and then repairs by
         // fresh rebuild-and-scan steps — the sequential-ingestion
-        // semantics apply_batch promises (repairs in order, swaps
+        // semantics a batch promises (repairs in order, swaps
         // deferred behind the single union scan).
         for seed in 0..6u64 {
             let n = 24;
@@ -3193,7 +2976,7 @@ mod tests {
                     _ => unreachable!(),
                 }
             }
-            let r = batched.apply_batch(&burst);
+            let r = batched.ingest(legacy(&burst)).unwrap();
             assert_eq!(r.ingested, 4);
             assert_ne!(r.scan, ScanExtent::Skipped, "the burst is relevant");
             let expected = oblivious_update_step(&mirror, &mut sol);
@@ -3253,8 +3036,8 @@ mod tests {
                         }
                     }
                 };
-                let a = reference.apply(pert);
-                let b = cached.apply(pert);
+                let a = reference.ingest(legacy(&[pert])).unwrap();
+                let b = cached.ingest(legacy(&[pert])).unwrap();
                 assert_eq!(
                     a.outcome.swap, b.outcome.swap,
                     "seed {seed} step {step}: cache changed the swap"
@@ -3281,7 +3064,12 @@ mod tests {
         let mut s = DynamicSession::new(&problem, &[0]).with_candidate_cache(1);
         s.update_until_stable(10);
         assert!(s.is_stable());
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: 0,
+                value: 0.4,
+            }]))
+            .unwrap();
         assert_eq!(
             r.scan,
             ScanExtent::Full,
@@ -3292,7 +3080,12 @@ mod tests {
         // cached path engages, and the same lowest-index winner emerges.
         let mut s = DynamicSession::new(&problem, &[0]).with_candidate_cache(4);
         s.update_until_stable(10);
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::SetWeight {
+                u: 0,
+                value: 0.4,
+            }]))
+            .unwrap();
         assert_eq!(r.scan, ScanExtent::Cached);
         assert_eq!(r.outcome.swap, Some((0, 1)));
     }
@@ -3319,8 +3112,8 @@ mod tests {
             u: outsider,
             value: 10.0,
         };
-        let a = cached.apply(spike);
-        let b = reference.apply(spike);
+        let a = cached.ingest(legacy(&[spike])).unwrap();
+        let b = reference.ingest(legacy(&[spike])).unwrap();
         assert_eq!(a.outcome.swap, b.outcome.swap);
         assert!(a.outcome.swap.is_some(), "the weight spike must swap in");
         assert_eq!(cached.solution(), reference.solution());
@@ -3337,8 +3130,8 @@ mod tests {
             v: y,
             value: 1.5,
         };
-        let a = cached.apply(pert);
-        let b = reference.apply(pert);
+        let a = cached.ingest(legacy(&[pert])).unwrap();
+        let b = reference.ingest(legacy(&[pert])).unwrap();
         assert_eq!(a.scan, ScanExtent::Cached, "repaired tables must answer");
         assert_eq!(b.scan, ScanExtent::Full);
         assert_eq!(a.outcome.swap, b.outcome.swap);
@@ -3383,7 +3176,7 @@ mod tests {
             let mirror =
                 DiversificationProblem::new(rebuilt, ModularFunction::new(weights.clone()), 0.3);
             let report = session
-                .apply_graph(GraphPerturbation::SetEdge { u, v, weight: w })
+                .ingest(legacy(&[GraphPerturbation::SetEdge { u, v, weight: w }]))
                 .unwrap();
             let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(report.outcome.swap, expected.swap, "step {step}");
@@ -3409,10 +3202,10 @@ mod tests {
         session.update_until_stable(8);
         let before = session.solution().to_vec();
         let err = session
-            .apply_graph(GraphPerturbation::RemoveEdge { u: 0, v: 1 })
+            .ingest(legacy(&[GraphPerturbation::RemoveEdge { u: 0, v: 1 }]))
             .unwrap_err();
         assert_eq!(
-            err,
+            partial(err).error,
             msd_metric::EdgeUpdateError::Disconnected(msd_metric::DisconnectedGraph { u: 0, v: 1 })
         );
         assert_eq!(session.solution(), &before[..]);
@@ -3422,13 +3215,13 @@ mod tests {
         );
         // The shared weight / availability arms ride along unchanged.
         let r = session
-            .apply_graph(GraphPerturbation::SetWeight { u: 1, value: 9.0 })
+            .ingest(legacy(&[GraphPerturbation::SetWeight { u: 1, value: 9.0 }]))
             .unwrap();
         assert_eq!(r.outcome.swap, Some((2, 1)));
         let r = session
-            .apply_graph(GraphPerturbation::Depart { u: 1 })
+            .ingest(legacy(&[GraphPerturbation::Depart { u: 1 }]))
             .unwrap();
-        assert_eq!(r.refill, Some(2));
+        assert_eq!(r.refills.last().copied(), Some(2));
     }
 
     #[test]
@@ -3456,7 +3249,7 @@ mod tests {
             GraphPerturbation::RemoveEdge { u: 1, v: 2 },
             GraphPerturbation::SetWeight { u: 3, value: 9.0 }, // never reached
         ];
-        let err = s.apply_graph_batch(&batch).unwrap_err();
+        let err = partial(s.ingest(legacy(&batch)).unwrap_err());
         assert_eq!(
             err.error,
             msd_metric::EdgeUpdateError::Disconnected(msd_metric::DisconnectedGraph { u: 1, v: 2 })
@@ -3481,13 +3274,18 @@ mod tests {
         let problem = instance(9, 6);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
         for u in [3u32, 4, 5] {
-            s.apply(SessionPerturbation::Depart { u });
+            s.ingest(legacy(&[SessionPerturbation::Depart { u }]))
+                .unwrap();
         }
-        let r = s.apply(SessionPerturbation::Depart { u: 1 });
-        assert_eq!(r.refill, None);
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::Depart { u: 1 }]))
+            .unwrap();
+        assert_eq!(r.refills.last().copied(), None);
         assert_eq!(s.solution().len(), 2);
-        let r = s.apply(SessionPerturbation::Arrive { u: 4 });
-        assert_eq!(r.refill, Some(4));
+        let r = s
+            .ingest(legacy(&[SessionPerturbation::Arrive { u: 4 }]))
+            .unwrap();
+        assert_eq!(r.refills.last().copied(), Some(4));
         assert_eq!(s.solution().len(), 3);
         assert!(s.contains(4));
         let direct = problem.objective(s.solution());
@@ -3515,7 +3313,8 @@ mod tests {
     fn try_apply_rejects_every_malformed_shape_without_mutation() {
         let problem = instance(3, 12);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2, 3]);
-        s.apply(SessionPerturbation::Depart { u: 7 });
+        s.ingest(legacy(&[SessionPerturbation::Depart { u: 7 }]))
+            .unwrap();
         s.update_until_stable(20);
         let before = fingerprint(&s);
         let cases: Vec<(SessionPerturbation, PerturbationError)> = vec![
@@ -3599,7 +3398,7 @@ mod tests {
             ),
         ];
         for (pert, want) in cases {
-            let err = s.try_apply(pert).unwrap_err();
+            let err = rejected(s.ingest(pert).unwrap_err());
             // NaN payloads compare unequal under `==`; match on rendering.
             assert_eq!(err.to_string(), want.to_string(), "{pert:?}");
             assert_eq!(
@@ -3618,7 +3417,7 @@ mod tests {
         .contains("NaN"));
         // The session is still live: a valid perturbation goes through.
         let report = s
-            .try_apply(SessionPerturbation::SetWeight { u: 2, value: 4.0 })
+            .ingest(SessionPerturbation::SetWeight { u: 2, value: 4.0 })
             .unwrap();
         let _ = report.scan;
     }
@@ -3627,7 +3426,8 @@ mod tests {
     fn try_apply_batch_is_all_or_nothing_over_simulated_availability() {
         let problem = instance(11, 10);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
-        s.apply(SessionPerturbation::Depart { u: 9 });
+        s.ingest(legacy(&[SessionPerturbation::Depart { u: 9 }]))
+            .unwrap();
         s.update_until_stable(20);
         let before = fingerprint(&s);
         // Index 2 re-arrives an element the batch itself already brought
@@ -3641,7 +3441,7 @@ mod tests {
             },
             SessionPerturbation::Arrive { u: 9 },
         ];
-        let err = s.try_apply_batch(&batch).unwrap_err();
+        let err = s.ingest(batch).unwrap_err();
         assert!(matches!(
             err,
             SessionError::Rejected {
@@ -3661,12 +3461,12 @@ mod tests {
             SessionPerturbation::Depart { u: 9 },
             SessionPerturbation::Arrive { u: 9 },
         ];
-        let report = s.try_apply_batch(&batch).unwrap();
+        let report = s.ingest(batch).unwrap();
         assert_eq!(report.ingested, 3);
         assert!(s.is_active(9));
         // Error indices point at the first offender.
         let err = s
-            .try_apply_batch(&[
+            .ingest([
                 SessionPerturbation::SetWeight { u: 1, value: 2.0 },
                 SessionPerturbation::SetDistance {
                     u: 3,
@@ -3693,15 +3493,15 @@ mod tests {
             SessionPerturbation::SetWeight { u: 8, value: 2.25 },
         ];
         for &p in &prefix {
-            live.apply(p);
-            pristine.apply(p);
+            live.ingest(legacy(&[p])).unwrap();
+            pristine.ingest(legacy(&[p])).unwrap();
         }
         live.update_until_stable(30);
         pristine.update_until_stable(30);
         let cp = live.checkpoint();
         // Diverge the live session with interleaved availability churn,
         // distance rewrites, and weight updates…
-        live.apply_batch(&[
+        live.ingest(legacy(&[
             SessionPerturbation::Arrive { u: 5 },
             SessionPerturbation::SetDistance {
                 u: 0,
@@ -3717,7 +3517,8 @@ mod tests {
                 v: 11,
                 value: 0.25,
             },
-        ]);
+        ]))
+        .unwrap();
         live.update_until_stable(30);
         assert_ne!(fingerprint(&live), fingerprint(&pristine));
         // …then roll back: every observable bit matches a session that
@@ -3735,10 +3536,10 @@ mod tests {
             },
         ];
         for &p in &suffix {
-            let a = live.apply(p);
-            let b = pristine.apply(p);
+            let a = live.ingest(legacy(&[p])).unwrap();
+            let b = pristine.ingest(legacy(&[p])).unwrap();
             assert_eq!(a.outcome.swap, b.outcome.swap);
-            assert_eq!(a.refill, b.refill);
+            assert_eq!(a.refills, b.refills);
         }
         assert_eq!(fingerprint(&live), fingerprint(&pristine));
         live.rollback_to(&cp);
@@ -3777,7 +3578,7 @@ mod tests {
             GraphPerturbation::RemoveEdge { u: 1, v: 2 },
             GraphPerturbation::SetWeight { u: 3, value: 9.0 },
         ];
-        let err = s.try_apply_graph_batch(&batch).unwrap_err();
+        let err = s.ingest(batch).unwrap_err();
         assert!(matches!(
             err,
             SessionError::Rejected {
@@ -3806,31 +3607,34 @@ mod tests {
         );
         // Malformed shapes are rejected statically — before the checkpoint
         // is even taken — with the metric's own typed errors.
-        let err = s
-            .try_apply_graph(GraphPerturbation::SetEdge {
+        let err = rejected(
+            s.ingest(GraphPerturbation::SetEdge {
                 u: 0,
                 v: 1,
                 weight: f64::NAN,
             })
-            .unwrap_err();
+            .unwrap_err(),
+        );
         assert!(matches!(
             err,
             PerturbationError::Edge(EdgeUpdateError::InvalidWeight { u: 0, v: 1, .. })
         ));
-        let err = s
-            .try_apply_graph(GraphPerturbation::RemoveEdge { u: 2, v: 2 })
-            .unwrap_err();
+        let err = rejected(
+            s.ingest(GraphPerturbation::RemoveEdge { u: 2, v: 2 })
+                .unwrap_err(),
+        );
         assert!(matches!(
             err,
             PerturbationError::Edge(EdgeUpdateError::SelfLoop { u: 2 })
         ));
-        let err = s
-            .try_apply_graph(GraphPerturbation::SetEdge {
+        let err = rejected(
+            s.ingest(GraphPerturbation::SetEdge {
                 u: 0,
                 v: 9,
                 weight: 1.0,
             })
-            .unwrap_err();
+            .unwrap_err(),
+        );
         assert!(matches!(
             err,
             PerturbationError::Edge(EdgeUpdateError::EndpointOutOfRange { u: 0, v: 9, n: 4 })
@@ -3838,13 +3642,13 @@ mod tests {
         assert_eq!(s.objective().to_bits(), before_objective);
         // A removal that keeps the graph connected commits normally
         // (checkpoint taken, then discarded).
-        s.try_apply_graph(GraphPerturbation::SetEdge {
+        s.ingest(GraphPerturbation::SetEdge {
             u: 0,
             v: 3,
             weight: 2.0,
         })
         .unwrap();
-        s.try_apply_graph(GraphPerturbation::RemoveEdge { u: 2, v: 3 })
+        s.ingest(GraphPerturbation::RemoveEdge { u: 2, v: 3 })
             .unwrap();
         assert_eq!(s.metric().edge_weight(2, 3), None);
     }
@@ -3854,7 +3658,8 @@ mod tests {
     fn parallel_try_paths_match_serial_validation_and_rollback() {
         let problem = instance(23, 12);
         let mut serial = DynamicSession::new(&problem, &[0, 1, 2]);
-        let mut par = DynamicSession::new_sync(&problem, &[0, 1, 2]);
+        let mut par = DynamicSession::new_sync(&problem, &[0, 1, 2])
+            .with_scan_pool(std::sync::Arc::new(crate::pool::ScanPool::new(4)));
         let batch = [
             SessionPerturbation::SetDistance {
                 u: 0,
@@ -3863,14 +3668,14 @@ mod tests {
             },
             SessionPerturbation::Depart { u: 2 },
         ];
-        let a = serial.try_apply_batch(&batch).unwrap();
-        let b = par.try_apply_batch_parallel(&batch).unwrap();
+        let a = serial.ingest(batch).unwrap();
+        let b = par.ingest(batch).unwrap();
         assert_eq!(a.outcome.swap, b.outcome.swap);
         assert_eq!(a.refills, b.refills);
         assert_eq!(serial.solution(), par.solution());
         let bad = [SessionPerturbation::Depart { u: 2 }];
         assert!(matches!(
-            par.try_apply_batch_parallel(&bad),
+            par.ingest(bad),
             Err(SessionError::Rejected {
                 index: 0,
                 error: PerturbationError::DepartureOfAbsent { u: 2 }

@@ -57,7 +57,7 @@ use crate::greedy::{greedy_b_with_state, GreedyBConfig};
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::session::{
-    BatchReport, DynamicSession, PerturbationError, SessionError, SessionPerturbation,
+    Batch, DynamicSession, PerturbationError, SessionError, SessionPerturbation, Validation,
 };
 use crate::ElementId;
 
@@ -65,14 +65,6 @@ use crate::ElementId;
 /// restricted view of the (borrowed) problem metric. `O(shard size)`
 /// state plus the shard-local rewrites.
 pub type ShardMetric<'q, M> = OverlayMetric<RestrictedMetric<&'q M>>;
-
-/// Batch-application callback threaded through [`ShardedEngine::ingest`]:
-/// the serial and parallel entry points differ only in how each perturbed
-/// shard's session applies its routed sub-batch.
-type ShardApply<'a, 'q, M, Q> = &'a mut dyn FnMut(
-    &mut DynamicSession<'q, ShardMetric<'q, M>, Q>,
-    &[SessionPerturbation],
-) -> BatchReport;
 
 /// Configuration of a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -114,7 +106,7 @@ pub struct MergeStats {
     pub last_reduce_ran: bool,
 }
 
-/// Outcome of one [`ShardedEngine::apply_batch`] call.
+/// Outcome of one [`ShardedEngine::ingest`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedReport {
     /// Shards that received at least one perturbation.
@@ -174,7 +166,7 @@ pub struct ShardedEngine<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Incr
 }
 
 /// [`ShardedEngine`] whose oracles are shareable across threads (enables
-/// the `parallel`-feature `apply_batch_parallel` entry point).
+/// the `parallel`-feature `with_scan_pool`).
 pub type SyncShardedEngine<'q, M> = ShardedEngine<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
 impl<M: Metric, Q: IncrementalOracle + ?Sized> std::fmt::Debug for ShardedEngine<'_, M, Q> {
@@ -222,7 +214,7 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
 
 impl<'q, M: Metric> SyncShardedEngine<'q, M> {
     /// Thread-shareable variant of [`ShardedEngine::new`] (enables the
-    /// `parallel`-feature `apply_batch_parallel` entry point).
+    /// `parallel`-feature pooled shard scans).
     pub fn new_sync<F: SetFunction + Sync>(
         problem: &'q DiversificationProblem<M, F>,
         p: usize,
@@ -435,13 +427,38 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
         }
     }
 
-    /// Shared batch-ingestion core: route, stabilize perturbed shards via
-    /// `apply`, detect dirty proposals, and re-merge only when needed.
-    fn ingest(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-        apply: ShardApply<'_, 'q, M, Q>,
-    ) -> ShardedReport {
+    /// The engine's one ingestion entry point: routes each global-id
+    /// perturbation to its owning shard, stabilizes the perturbed
+    /// sessions, and re-merges incrementally (only dirty/union-touching
+    /// batches re-run the reduce). Returns the round's [`ShardedReport`].
+    ///
+    /// Under [`Validation::Strict`] (the default) every perturbation is
+    /// checked up front — ranges, finite non-negative values,
+    /// weight-update support, arrival/departure consistency against the
+    /// availability the batch itself produces — and the whole batch is
+    /// rejected on the first offender with engine, overlays, shard
+    /// sessions and merged solution untouched. Every failure here is
+    /// statically checkable, so rejection costs no checkpoint and no
+    /// rollback. [`Validation::Legacy`] skips that pass for trusted
+    /// streams.
+    ///
+    /// # Errors
+    ///
+    /// Under [`Validation::Strict`], [`SessionError::Rejected`] with the
+    /// offending index and typed [`PerturbationError`].
+    ///
+    /// # Panics
+    ///
+    /// Under [`Validation::Legacy`] only: on out-of-range elements, on
+    /// `SetWeight` when the quality oracle does not support weight
+    /// updates, and on invalid distances (negative, non-finite, or
+    /// diagonal) — mirroring [`DynamicSession::ingest`].
+    pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<ShardedReport, SessionError> {
+        let batch = batch.into();
+        let perturbations = batch.perturbations();
+        if batch.validation() == Validation::Strict {
+            self.validate_batch(perturbations)?;
+        }
         self.stats.rounds += 1;
         let machines = self.shard_ids.len();
         let n = self.shard_of.len();
@@ -513,14 +530,16 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
         let mut swaps = 0usize;
         let mut refills = 0usize;
         let mut perturbed: Vec<usize> = Vec::new();
-        for (s, batch) in routed.iter().enumerate() {
+        for (s, batch) in routed.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
             let Some(session) = self.sessions[s].as_mut() else {
                 continue; // p = 0: nothing to maintain
             };
-            let report = apply(session, batch);
+            // Routed from a validated (or trusted) batch: the trusting
+            // matrix path, which cannot fail.
+            let report = session.ingest(Batch::new(batch).with_validation(Validation::Legacy))?;
             if report.outcome.swap.is_some() {
                 swaps += 1;
             }
@@ -562,7 +581,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
         self.stats.last_dirty_shards = dirty.len();
         self.stats.last_reduce_ran = reduce_ran;
 
-        ShardedReport {
+        Ok(ShardedReport {
             perturbed_shards: perturbed.len(),
             dirty_shards: dirty,
             swaps,
@@ -571,78 +590,26 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
             reduce_scope: self.union.len(),
             reduce_won: self.reduce_won,
             objective: self.merged_objective,
-        }
-    }
-
-    /// Applies one perturbation (see [`ShardedEngine::apply_batch`]).
-    pub fn apply(&mut self, perturbation: SessionPerturbation) -> ShardedReport {
-        self.apply_batch(&[perturbation])
-    }
-
-    /// Ingests a batch of global-id perturbations: routes each to its
-    /// owning shard, stabilizes the perturbed sessions, and re-merges
-    /// incrementally (only dirty/union-touching batches re-run the
-    /// reduce). Returns the round's [`ShardedReport`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range elements, on `SetWeight` when the quality
-    /// oracle does not support weight updates, and on invalid distances
-    /// (negative, non-finite, or diagonal) — mirroring
-    /// [`DynamicSession::apply_batch`].
-    pub fn apply_batch(&mut self, perturbations: &[SessionPerturbation]) -> ShardedReport {
-        self.ingest(perturbations, &mut |session, batch| {
-            session.ingest_unchecked(batch)
         })
     }
 
-    /// Validating [`ShardedEngine::apply`]: rejects a malformed
-    /// perturbation with a typed [`PerturbationError`] instead of
-    /// panicking, leaving the engine untouched.
+    /// Strict [`ShardedEngine::ingest`] of a perturbation slice.
     ///
     /// # Errors
     ///
-    /// As [`ShardedEngine::try_apply_batch`], unwrapped to the single
-    /// perturbation's error.
-    pub fn try_apply(
-        &mut self,
-        perturbation: SessionPerturbation,
-    ) -> Result<ShardedReport, PerturbationError> {
-        self.try_apply_batch(std::slice::from_ref(&perturbation))
-            .map_err(|e| match e {
-                SessionError::Rejected { error, .. } => error,
-                SessionError::PartialCommit(_) => {
-                    unreachable!("sharded matrix batches are all-or-nothing")
-                }
-            })
-    }
-
-    /// Validating, **all-or-nothing** counterpart of
-    /// [`ShardedEngine::apply_batch`]: every perturbation is checked up
-    /// front (ranges, finite non-negative values, weight-update support,
-    /// arrival/departure consistency against the availability the batch
-    /// itself produces) and the whole batch is rejected — engine,
-    /// overlays, shard sessions and merged solution untouched — on the
-    /// first offender. Every failure here is statically checkable, so
-    /// rejection costs no checkpoint and no rollback.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Rejected`] with the offending index and typed
-    /// [`PerturbationError`].
+    /// As [`ShardedEngine::ingest`].
     pub fn try_apply_batch(
         &mut self,
         perturbations: &[SessionPerturbation],
     ) -> Result<ShardedReport, SessionError> {
-        self.validate_batch(perturbations)?;
-        Ok(self.apply_batch(perturbations))
+        self.ingest(perturbations)
     }
 
-    /// Static pre-validation for [`ShardedEngine::try_apply_batch`].
+    /// [`Validation::Strict`]'s static pass for [`ShardedEngine::ingest`].
     fn validate_batch(&self, perturbations: &[SessionPerturbation]) -> Result<(), SessionError> {
         let n = self.shard_of.len();
         // Overlays the batch's earlier arrivals/departures onto the live
-        // per-shard availability, as `DynamicSession::try_apply_batch`.
+        // per-shard availability, as `DynamicSession::ingest`.
         let mut sim: std::collections::HashMap<ElementId, bool> = std::collections::HashMap::new();
         let resident = |engine: &Self, u: ElementId, sim: &std::collections::HashMap<_, _>| {
             sim.get(&u).copied().unwrap_or_else(|| {
@@ -777,34 +744,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
 }
 
 #[cfg(feature = "parallel")]
-impl<'q, M: Metric + Sync> SyncShardedEngine<'q, M> {
-    /// [`ShardedEngine::apply_batch`] with each perturbed shard stabilized
-    /// through the session's thread-parallel scans. Chunking changes
-    /// scheduling only — routing, dirty detection and the reduce are
-    /// identical to the serial path, and so are the selected elements.
-    pub fn apply_batch_parallel(&mut self, perturbations: &[SessionPerturbation]) -> ShardedReport {
-        self.ingest(perturbations, &mut |session, batch| {
-            session.apply_batch_parallel(batch)
-        })
-    }
-
-    /// Parallel [`ShardedEngine::try_apply_batch`] — same static
-    /// validation, same all-or-nothing contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedEngine::try_apply_batch`].
-    pub fn try_apply_batch_parallel(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<ShardedReport, SessionError> {
-        self.validate_batch(perturbations)?;
-        Ok(self.apply_batch_parallel(perturbations))
-    }
-
-    /// Routes every shard session's parallel scans through an explicit
-    /// [`crate::pool::ScanPool`] (builder style) — the env-free route for
-    /// forcing a chunk schedule; results are bit-identical for any pool.
+impl<'q, M: Metric + Sync, Q: IncrementalOracle + Sync + ?Sized> ShardedEngine<'q, M, Q> {
+    /// Runs every shard session's full scans chunked on `pool` (builder
+    /// style; see [`DynamicSession::with_scan_pool`]). Routing, dirty
+    /// detection and the reduce are unchanged, and so are the selected
+    /// elements — results are bit-identical for any pool.
     pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
         for session in self.sessions.iter_mut().flatten() {
             session.set_scan_pool(std::sync::Arc::clone(&pool));
@@ -831,6 +775,11 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|_| next()).collect();
         let metric = DistanceMatrix::from_fn(n, |_, _| 1.0 + next());
         DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
+    }
+
+    /// A trusting ([`Validation::Legacy`]) one-perturbation batch.
+    fn legacy(perturbation: SessionPerturbation) -> Batch {
+        Batch::from(perturbation).with_validation(Validation::Legacy)
     }
 
     fn config(machines: usize, scheme: PartitionScheme) -> ShardedConfig {
@@ -870,7 +819,9 @@ mod tests {
     fn try_apply_batch_rejects_malformed_batches_without_mutation() {
         let problem = instance(5, 30);
         let mut engine = ShardedEngine::new(&problem, 5, config(3, PartitionScheme::RoundRobin));
-        engine.apply(SessionPerturbation::Depart { u: 17 });
+        engine
+            .ingest(legacy(SessionPerturbation::Depart { u: 17 }))
+            .unwrap();
         let before_solution = engine.solution().to_vec();
         let before_objective = engine.objective().to_bits();
         let before_proposals = engine.proposals().to_vec();
@@ -931,9 +882,15 @@ mod tests {
             .unwrap();
         let _ = report.reduce_ran;
         let err = engine
-            .try_apply(SessionPerturbation::Arrive { u: 17 })
+            .ingest(SessionPerturbation::Arrive { u: 17 })
             .unwrap_err();
-        assert_eq!(err, PerturbationError::DuplicateArrival { u: 17 });
+        assert_eq!(
+            err,
+            SessionError::Rejected {
+                index: 0,
+                error: PerturbationError::DuplicateArrival { u: 17 }
+            }
+        );
     }
 
     #[test]
@@ -950,11 +907,13 @@ mod tests {
         };
         let warm = pick_outside(&engine);
         let d0 = problem.metric().distance(warm[0], warm[1]);
-        engine.apply(SessionPerturbation::SetDistance {
-            u: warm[0],
-            v: warm[1],
-            value: d0 * 0.5,
-        });
+        engine
+            .ingest(legacy(SessionPerturbation::SetDistance {
+                u: warm[0],
+                v: warm[1],
+                value: d0 * 0.5,
+            }))
+            .unwrap();
 
         let before = engine.solution().to_vec();
         let runs_before = engine.stats().reduce_runs;
@@ -964,11 +923,13 @@ mod tests {
         let outside = pick_outside(&engine);
         let (a, b) = (outside[2], outside[3]);
         let d = engine.metric().distance(a, b);
-        let report = engine.apply(SessionPerturbation::SetDistance {
-            u: a,
-            v: b,
-            value: d * 0.5,
-        });
+        let report = engine
+            .ingest(legacy(SessionPerturbation::SetDistance {
+                u: a,
+                v: b,
+                value: d * 0.5,
+            }))
+            .unwrap();
         assert!(!report.reduce_ran, "quiet batch must skip the reduce");
         assert!(report.dirty_shards.is_empty());
         assert_eq!(engine.stats().reduce_runs, runs_before);
@@ -981,10 +942,12 @@ mod tests {
         let mut engine = ShardedEngine::new(&problem, 4, config(3, PartitionScheme::RoundRobin));
         let runs_before = engine.stats().reduce_runs;
         let target = engine.union()[0];
-        let report = engine.apply(SessionPerturbation::SetWeight {
-            u: target,
-            value: 50.0,
-        });
+        let report = engine
+            .ingest(legacy(SessionPerturbation::SetWeight {
+                u: target,
+                value: 50.0,
+            }))
+            .unwrap();
         assert!(report.reduce_ran);
         assert_eq!(engine.stats().reduce_runs, runs_before + 1);
         assert!(engine.solution().contains(&target));
@@ -995,7 +958,9 @@ mod tests {
         let problem = instance(5, 24);
         let mut engine = ShardedEngine::new(&problem, 4, config(2, PartitionScheme::Contiguous));
         let leaving = engine.solution()[0];
-        let report = engine.apply(SessionPerturbation::Depart { u: leaving });
+        let report = engine
+            .ingest(legacy(SessionPerturbation::Depart { u: leaving }))
+            .unwrap();
         assert!(report.reduce_ran);
         assert!(!engine.solution().contains(&leaving));
         assert_eq!(engine.solution().len(), 4);
@@ -1016,7 +981,9 @@ mod tests {
         let mut engine = ShardedEngine::new(&problem, 0, config(2, PartitionScheme::RoundRobin));
         assert!(engine.solution().is_empty());
         assert_eq!(engine.objective(), 0.0);
-        let report = engine.apply(SessionPerturbation::SetWeight { u: 3, value: 9.0 });
+        let report = engine
+            .ingest(legacy(SessionPerturbation::SetWeight { u: 3, value: 9.0 }))
+            .unwrap();
         assert!(engine.solution().is_empty());
         assert!(!report.reduce_ran);
     }

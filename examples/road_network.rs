@@ -59,9 +59,7 @@ fn main() {
             weight: w * 4.0,
         })
         .collect();
-    let report = session
-        .apply_graph_batch(&burst)
-        .expect("congestion never disconnects");
+    let report = session.ingest(burst).expect("congestion never disconnects");
     session.update_until_stable(4 * p);
     println!(
         "rush hour: {} edge updates ingested, scan extent {:?}, swap {:?}",
@@ -78,7 +76,7 @@ fn main() {
     let (hu, hv) = (3u32, (n - 7) as u32);
     let before = session.metric().matrix().mean_distance();
     let update = session
-        .apply_graph(GraphPerturbation::SetEdge {
+        .ingest(GraphPerturbation::SetEdge {
             u: hu,
             v: hv,
             weight: 0.25,

@@ -136,7 +136,9 @@ fn main() {
                 }
             })
             .collect();
-        let report = engine.apply_batch(&batch);
+        let report = engine
+            .ingest(batch)
+            .expect("generated batches are well-formed");
         println!(
             "{round:>5}  {:>9}  {:>5}  {:>6}  {:>5}  {:>5}  {:.3}",
             report.perturbed_shards,
