@@ -3,7 +3,8 @@
 //! Measures Greedy B and the budgeted local search with the incremental
 //! oracles + lazy greedy against the slice-recomputation baselines
 //! (`msd_bench::naive`) over `n ∈ {1000, 5000, 20000}` × modular/coverage
-//! quality, and writes the results to `BENCH_greedy.json` and
+//! quality, plus the Theorem 2 local search under a partition matroid
+//! against its per-pair reference at `n = 1000`, and writes the results to `BENCH_greedy.json` and
 //! `BENCH_local_search.json` at the workspace root so the perf trajectory
 //! is tracked in-repo from this change onward.
 //!
@@ -20,16 +21,18 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use criterion::{BenchRecord, Criterion};
-use msd_bench::naive::{greedy_b_naive, local_search_refine_naive};
+use msd_bench::naive::{greedy_b_naive, local_search_matroid_naive, local_search_refine_naive};
 use msd_bench::support::{
     ground_sizes, json_num, json_ratio, record_configs, record_mean, workspace_root,
 };
 use msd_core::{
-    greedy_b, local_search_refine, DiversificationProblem, GreedyBConfig, LocalSearchConfig,
+    greedy_b, local_search_matroid, local_search_refine, DiversificationProblem, GreedyBConfig,
+    LocalSearchConfig,
 };
 use msd_data::SyntheticConfig;
+use msd_matroid::{Matroid, PartitionMatroid};
 use msd_metric::DistanceMatrix;
-use msd_submodular::CoverageFunction;
+use msd_submodular::{CoverageFunction, SetFunction};
 use std::hint::black_box;
 
 const P: usize = 100;
@@ -193,6 +196,71 @@ fn bench_local_search(c: &mut Criterion, ns: &[usize]) {
     }
 }
 
+/// The Theorem 2 local search under a partition matroid (10 blocks of
+/// capacity 5, so rank `p = 50`): `local_search_matroid` with per-candidate
+/// exchange partners and allocation-free seeding against the per-pair
+/// reference. The best-pair seed visits all `n(n−1)/2` pairs, so the rows
+/// run at `n ≤ 1000` only.
+fn bench_local_search_partition(c: &mut Criterion, ns: &[usize]) {
+    let config = LocalSearchConfig {
+        max_swaps: LS_SWAP_BUDGET,
+        ..LocalSearchConfig::default()
+    };
+    for &n in ns.iter().filter(|&&n| n <= 1000) {
+        let blocks = 10u32;
+        let matroid = PartitionMatroid::new(
+            (0..n as u32).map(|u| u % blocks).collect(),
+            vec![5; blocks as usize],
+        );
+        let p = matroid.rank();
+        let modular = SyntheticConfig::paper(n).generate(44);
+        let coverage = coverage_instance(11 + n as u64, n);
+        partition_group(c, &format!("modular/n{n}/p{p}"), &modular, &matroid, config);
+        partition_group(
+            c,
+            &format!("coverage/n{n}/p{p}"),
+            &coverage,
+            &matroid,
+            config,
+        );
+    }
+}
+
+fn partition_group<F: SetFunction + Sync>(
+    c: &mut Criterion,
+    name: &str,
+    problem: &DiversificationProblem<DistanceMatrix, F>,
+    matroid: &PartitionMatroid,
+    config: LocalSearchConfig,
+) {
+    let mut group = c.benchmark_group(format!("local_search/partition/{name}"));
+    group.bench_function("incremental", |b| {
+        b.iter(|| local_search_matroid(black_box(problem), matroid, config))
+    });
+    group.bench_function("naive", |b| {
+        b.iter(|| local_search_matroid_naive(black_box(problem), matroid, config))
+    });
+    #[cfg(feature = "parallel")]
+    group.bench_function("parallel", |b| {
+        b.iter(|| msd_core::parallel::local_search_matroid(black_box(problem), matroid, config))
+    });
+    #[cfg(feature = "parallel")]
+    {
+        let pool = msd_core::ScanPool::new(4);
+        group.bench_function("forced", |b| {
+            b.iter(|| {
+                msd_core::parallel::local_search_matroid_in(
+                    &pool,
+                    black_box(problem),
+                    matroid,
+                    config,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Serializes the records of one bench family (`greedy` or `local_search`)
 /// into a JSON document with per-configuration naive-vs-incremental
 /// speedups. Hand-rolled writer — the build environment has no serde.
@@ -234,6 +302,7 @@ fn main() {
         .measurement_time(Duration::from_millis(50));
     bench_greedy(&mut c, &ns);
     bench_local_search(&mut c, &ns);
+    bench_local_search_partition(&mut c, &ns);
     let records = c.take_records();
 
     let root = workspace_root();

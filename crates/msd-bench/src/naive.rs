@@ -15,12 +15,20 @@
 //!   clone per candidate pair (the seed implementation's behaviour).
 //! * [`local_search_refine_naive`] — best-improvement 1-swap local search
 //!   with slice-recomputed swap gains.
+//! * [`local_search_matroid_naive`] — the Theorem 2 local search with a
+//!   per-pair `exchange_feasible` test in the swap scan and per-pair
+//!   `is_independent(&[x, y])` / `value(&[x, y])` calls in the best-pair
+//!   seed: the ground truth for `local_search_matroid`'s partner lists
+//!   and allocation-free seeding, result for result.
 //! * [`greedy_b_oblivious`] — Greedy B with the *oblivious* selection rule
 //!   (maximizing the true marginal `φ_u` instead of the potential `φ'_u`).
 //!   Theorem 1's proof needs the ½ factor; this variant shows what the
 //!   plain rule does empirically.
 
-use msd_core::{DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig};
+use msd_core::local_search::{LocalSearchResult, PivotRule};
+use msd_core::{
+    DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig, PotentialState,
+};
 use msd_matroid::Matroid;
 use msd_metric::Metric;
 use msd_submodular::SetFunction;
@@ -214,6 +222,136 @@ pub fn local_search_refine_naive<M: Metric, F: SetFunction>(
         }
     }
     members
+}
+
+/// The Theorem 2 local search with the per-pair feasibility and seed
+/// oracles: every `(u, v)` cell of the swap scan asks
+/// `matroid.exchange_feasible(members, v, u)`, and every seed pair asks
+/// `is_independent(&[x, y])` and scores `value(&[x, y]) + λ·d(x, y)`.
+/// Swap gains come from [`PotentialState`]'s caches, so only the
+/// feasibility and seeding paths differ from `local_search_matroid`,
+/// which must reproduce this result bit for bit (set order, objective,
+/// swaps, convergence).
+///
+/// # Panics
+///
+/// Panics if the matroid's ground size disagrees with the problem's.
+pub fn local_search_matroid_naive<M: Metric, F: SetFunction, Mat: Matroid>(
+    problem: &DiversificationProblem<M, F>,
+    matroid: &Mat,
+    config: LocalSearchConfig,
+) -> LocalSearchResult {
+    assert_eq!(
+        matroid.ground_size(),
+        problem.ground_size(),
+        "matroid and problem must share a ground set"
+    );
+    let n = problem.ground_size();
+    let rank = matroid.rank();
+    if rank == 0 || n == 0 {
+        return LocalSearchResult {
+            set: Vec::new(),
+            objective: 0.0,
+            swaps: 0,
+            converged: true,
+        };
+    }
+
+    let seed: Vec<ElementId> = if rank >= 2 {
+        let mut best: Option<(ElementId, ElementId)> = None;
+        let mut best_score = f64::NEG_INFINITY;
+        for x in 0..n as ElementId {
+            for y in (x + 1)..n as ElementId {
+                if !matroid.is_independent(&[x, y]) {
+                    continue;
+                }
+                let score = problem.quality().value(&[x, y])
+                    + problem.lambda() * problem.metric().distance(x, y);
+                if score > best_score {
+                    best_score = score;
+                    best = Some((x, y));
+                }
+            }
+        }
+        match best {
+            Some((x, y)) => vec![x, y],
+            None => Vec::new(),
+        }
+    } else {
+        let best = (0..n as ElementId)
+            .filter(|&x| matroid.is_independent(&[x]))
+            .max_by(|&a, &b| {
+                problem
+                    .quality()
+                    .singleton(a)
+                    .total_cmp(&problem.quality().singleton(b))
+            });
+        best.map(|x| vec![x]).unwrap_or_default()
+    };
+    let basis = matroid.extend_to_basis(&seed);
+
+    let start = std::time::Instant::now();
+    let mut state = PotentialState::from_set(problem, &basis);
+    let mut objective = problem.objective(state.members());
+    let mut swaps = 0usize;
+    let mut converged = false;
+    loop {
+        if swaps >= config.max_swaps {
+            break;
+        }
+        if let Some(budget) = config.time_budget {
+            if start.elapsed() >= budget {
+                break;
+            }
+        }
+        let threshold = config.epsilon * objective.abs().max(1.0);
+        let mut chosen: Option<(ElementId, ElementId, f64)> = None;
+        'scan: for u in 0..n as ElementId {
+            if state.contains(u) {
+                continue;
+            }
+            let members = state.members();
+            for &v in members {
+                if !matroid.exchange_feasible(members, v, u) {
+                    continue;
+                }
+                let gain = state.swap_gain(u, v);
+                if gain <= threshold {
+                    continue;
+                }
+                match config.pivot {
+                    PivotRule::FirstImprovement => {
+                        chosen = Some((u, v, gain));
+                        break 'scan;
+                    }
+                    PivotRule::BestImprovement => {
+                        if chosen.is_none_or(|(_, _, g)| gain > g) {
+                            chosen = Some((u, v, gain));
+                        }
+                    }
+                }
+            }
+        }
+        match chosen {
+            Some((u, v, gain)) => {
+                state.swap(u, v);
+                objective += gain;
+                swaps += 1;
+            }
+            None => {
+                converged = true;
+                break;
+            }
+        }
+    }
+    let set = state.into_members();
+    let objective = problem.objective(&set);
+    LocalSearchResult {
+        set,
+        objective,
+        swaps,
+        converged,
+    }
 }
 
 /// One oblivious single-swap dynamic repair step with every gain

@@ -18,6 +18,14 @@
 //! in the ratio; [`LocalSearchConfig::epsilon`] exposes that knob
 //! (`epsilon = 0` reproduces the plain rule).
 //!
+//! Cost per swap iteration: one [`Matroid::exchange_partners`] query per
+//! candidate `u ∉ S` plus one O(1) cached swap-gain read per feasible
+//! `(u, v)` pair — O(n·|S| + feasible pairs) for partition matroids,
+//! where a per-pair feasibility test costs O(n·|S|²) (every cross-block
+//! pair recounts the incoming block). The best-pair seed visits all
+//! `n(n−1)/2` pairs once, scoring each by an empty incremental oracle's
+//! pair marginal plus `λ·d(x, y)` with no per-pair allocation.
+//!
 //! [`local_search_refine`] is the *budgeted* variant of Section 7's
 //! experiments: it starts from a given solution (there, Greedy B's output)
 //! and performs best-improvement 1-swaps under a uniform matroid until a
@@ -121,15 +129,23 @@ pub fn local_search_matroid<M: Metric, F: SetFunction, Mat: Matroid>(
     // basis. (If the rank is 1 no pair exists; fall back to the best
     // singleton.)
     let seed: Vec<ElementId> = if rank >= 2 {
+        // `f({x, y})` is the pair marginal of an empty oracle: the same
+        // arithmetic as `value(&[x, y])`, without the structured
+        // families' per-pair allocations (coverage's topic mask).
+        let empty = problem.quality().incremental();
         let mut best: Option<(ElementId, ElementId)> = None;
         let mut best_score = f64::NEG_INFINITY;
         for x in 0..n as ElementId {
+            // `{x, y}` independent ⟺ `{x}` independent and `y` addable.
+            if !matroid.is_independent(&[x]) {
+                continue;
+            }
             for y in (x + 1)..n as ElementId {
-                if !matroid.is_independent(&[x, y]) {
+                if !matroid.can_add(y, &[x]) {
                     continue;
                 }
-                let score = problem.quality().value(&[x, y])
-                    + problem.lambda() * problem.metric().distance(x, y);
+                let score =
+                    empty.pair_marginal(x, y) + problem.lambda() * problem.metric().distance(x, y);
                 if score > best_score {
                     best_score = score;
                     best = Some((x, y));
@@ -187,6 +203,7 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     let mut objective = problem.objective(state.members());
     let mut swaps = 0usize;
     let mut converged = false;
+    let mut partners: Vec<ElementId> = Vec::with_capacity(initial.len());
 
     loop {
         if swaps >= config.max_swaps {
@@ -204,14 +221,11 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
             if state.contains(u) {
                 continue;
             }
-            let members = state.members();
-            for &v in members {
-                // `exchange_feasible` is `can_swap(u, v, members)` with
-                // the per-family fast paths (uniform O(1), partition
-                // O(1) same-block) engaged in this hot loop.
-                if !matroid.exchange_feasible(members, v, u) {
-                    continue;
-                }
+            // One partner query per candidate: the feasible `v` in member
+            // order, so the traversal (and every tie-break) is that of
+            // the per-pair `exchange_feasible` test.
+            matroid.exchange_partners(state.members(), u, &mut partners);
+            for &v in &partners {
                 // Δφ = f-swap-gain + λ·(d_u(S) − d(u,v) − d_v(S)) — both
                 // terms O(1)/O(touched) from the fused caches, with no
                 // per-iteration member-list clone.

@@ -536,18 +536,24 @@ where
     }
 
     // Initialization mirrors the serial code; the pair scan is the
-    // parallelized O(n²) part.
+    // parallelized O(n²) part, every chunk reading one shared empty
+    // oracle's pair marginals.
     let seed: Vec<ElementId> = if rank >= 2 {
+        let empty = problem.quality().incremental_sync();
+        let empty = &*empty;
         let best = pool.scan_chunks(
             n,
             |lo, hi| {
                 let mut best: Option<(ElementId, ElementId, f64)> = None;
                 for x in lo as ElementId..hi as ElementId {
+                    if !matroid.is_independent(&[x]) {
+                        continue;
+                    }
                     for y in (x + 1)..n as ElementId {
-                        if !matroid.is_independent(&[x, y]) {
+                        if !matroid.can_add(y, &[x]) {
                             continue;
                         }
-                        let score = problem.quality().value(&[x, y])
+                        let score = empty.pair_marginal(x, y)
                             + problem.lambda() * problem.metric().distance(x, y);
                         if best.is_none_or(|(_, _, b)| score > b) {
                             best = Some((x, y, score));
@@ -648,19 +654,16 @@ where
             pool.scan_chunks(
                 n,
                 |lo, hi| {
-                    let members = st.members();
+                    let mut partners = Vec::with_capacity(st.len());
                     let mut local: Option<(ElementId, ElementId, f64)> = None;
                     for u in lo as ElementId..hi as ElementId {
                         if st.contains(u) {
                             continue;
                         }
-                        for &v in members {
-                            // Same test as the serial refine's hot loop:
-                            // `exchange_feasible` engages the per-family
-                            // fast paths.
-                            if !matroid.exchange_feasible(members, v, u) {
-                                continue;
-                            }
+                        // Same partner list as the serial refine's hot
+                        // loop, walked in the same member order.
+                        matroid.exchange_partners(st.members(), u, &mut partners);
+                        for &v in &partners {
                             let gain = st.swap_gain(u, v);
                             if gain <= threshold {
                                 continue;

@@ -504,7 +504,8 @@ pub enum Validation {
     /// [`GraphPerturbation::RemoveEdge`] (whose missing-edge or
     /// disconnection rejection depends on the connectivity earlier entries
     /// create) is checkpointed first and rolled back bit-for-bit on a
-    /// runtime rejection.
+    /// runtime rejection. Either way the rejection names the batch's
+    /// first offending entry.
     #[default]
     Strict,
     /// Skip validation, for trusted pre-validated streams that cannot
@@ -2370,12 +2371,21 @@ impl<M: PerturbableMetric> Payload<M> for SessionPerturbation {
 /// depends on the connectivity earlier batch entries create, so a batch
 /// holding a [`GraphPerturbation::RemoveEdge`] is checkpointed first
 /// (`M: Clone`) and purely additive batches pay no clone.
+///
+/// A batch is rejected at its *first* offender either way: when the
+/// static pass fails at index `i` behind a removal, the edge updates of
+/// `batch[..i]` are replayed on a scratch copy of the metric, and a
+/// runtime rejection there is reported instead. Only edge updates can
+/// fail at ingest time, so the replay needs the metric alone and the
+/// session itself is never touched.
 impl<M: EdgePerturbableMetric + Clone> Payload<M> for GraphPerturbation {
     fn validate<Q: IncrementalOracle + ?Sized>(
         session: &DynamicSession<'_, M, Q>,
         batch: &[Self],
     ) -> Result<Option<SessionCheckpoint<M>>, SessionError> {
-        session.validate_each(batch, |s, p, sim| match p {
+        let removes =
+            |entries: &[Self]| entries.iter().any(|p| matches!(p, Self::RemoveEdge { .. }));
+        let checked = session.validate_each(batch, |s, p, sim| match p {
             Self::SetEdge { u, v, weight } => s.validate_edge_endpoints(u, v).and_then(|()| {
                 if weight.is_finite() && weight >= 0.0 {
                     Ok(())
@@ -2387,9 +2397,17 @@ impl<M: EdgePerturbableMetric + Clone> Payload<M> for GraphPerturbation {
             Self::SetWeight { u, value } => s.validate_weight(u, value),
             Self::Arrive { u } => s.validate_arrival(u, sim),
             Self::Depart { u } => s.validate_departure(u, sim),
-        })?;
-        let removes = batch.iter().any(|p| matches!(p, Self::RemoveEdge { .. }));
-        Ok(removes.then(|| session.checkpoint()))
+        });
+        if let Err(SessionError::Rejected { index, .. }) = &checked {
+            let prefix = &batch[..*index];
+            if removes(prefix) {
+                if let Some(earlier) = first_edge_rejection(session.metric.clone(), prefix) {
+                    return Err(earlier);
+                }
+            }
+        }
+        checked?;
+        Ok(removes(batch).then(|| session.checkpoint()))
     }
 
     /// Edge updates ask the metric for its edge-update report and patch
@@ -2421,6 +2439,25 @@ impl<M: EdgePerturbableMetric + Clone> Payload<M> for GraphPerturbation {
         }
         Ok(())
     }
+}
+
+/// Applies the edge updates of `entries` to `scratch` in order and returns
+/// the first one the metric rejects, at its batch index.
+fn first_edge_rejection<M: EdgePerturbableMetric>(
+    mut scratch: M,
+    entries: &[GraphPerturbation],
+) -> Option<SessionError> {
+    entries.iter().enumerate().find_map(|(index, &p)| {
+        let applied = match p {
+            GraphPerturbation::SetEdge { u, v, weight } => scratch.set_edge(u, v, weight).map(drop),
+            GraphPerturbation::RemoveEdge { u, v } => scratch.remove_edge(u, v).map(drop),
+            _ => Ok(()),
+        };
+        applied.err().map(|error| SessionError::Rejected {
+            index,
+            error: error.into(),
+        })
+    })
 }
 
 /// Pooled scans (`parallel` feature): the full swap scan runs chunked over
@@ -3651,6 +3688,93 @@ mod tests {
         s.ingest(GraphPerturbation::RemoveEdge { u: 2, v: 3 })
             .unwrap();
         assert_eq!(s.metric().edge_weight(2, 3), None);
+    }
+
+    /// A strict graph batch is rejected at its first offender even when a
+    /// later entry fails the static pass: the disconnecting removal at
+    /// index 1 wins over the NaN edge weight at index 2, and the session
+    /// is left bit-identical.
+    #[test]
+    fn graph_batch_reports_runtime_rejection_before_later_static_one() {
+        use msd_metric::{DynamicGraphMetric, EdgeUpdateError, WeightedGraph};
+        let mut g = WeightedGraph::new(4);
+        g.add_edge(0, 1, 1.0)
+            .add_edge(1, 2, 1.0)
+            .add_edge(2, 3, 1.0);
+        let metric = DynamicGraphMetric::from_graph(&g).unwrap();
+        let problem = DiversificationProblem::new(
+            metric,
+            ModularFunction::new(vec![1.0, 0.8, 0.6, 0.4]),
+            0.1,
+        );
+        let mut s = DynamicSession::new(&problem, &[0, 1]);
+        s.update_until_stable(8);
+        let fingerprint = |s: &DynamicSession<'_, DynamicGraphMetric>| {
+            let triangle: Vec<u64> = s
+                .metric()
+                .matrix()
+                .triangle()
+                .iter()
+                .map(|d| d.to_bits())
+                .collect();
+            (
+                triangle,
+                s.solution().to_vec(),
+                s.objective().to_bits(),
+                s.is_stable(),
+            )
+        };
+        let before = fingerprint(&s);
+        let batch = [
+            GraphPerturbation::SetWeight { u: 3, value: 2.0 },
+            GraphPerturbation::RemoveEdge { u: 1, v: 2 },
+            GraphPerturbation::SetEdge {
+                u: 0,
+                v: 3,
+                weight: f64::NAN,
+            },
+        ];
+        let err = s.ingest(batch).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SessionError::Rejected {
+                    index: 1,
+                    error: PerturbationError::Edge(EdgeUpdateError::Disconnected(_))
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(fingerprint(&s), before);
+        assert_eq!(s.metric().edge_weight(1, 2), Some(1.0));
+        // With the bridge made redundant first, the removal is fine and the
+        // static rejection at index 3 stands.
+        let batch = [
+            GraphPerturbation::SetEdge {
+                u: 0,
+                v: 3,
+                weight: 1.0,
+            },
+            GraphPerturbation::RemoveEdge { u: 1, v: 2 },
+            GraphPerturbation::SetWeight { u: 3, value: 2.0 },
+            GraphPerturbation::SetEdge {
+                u: 0,
+                v: 2,
+                weight: f64::NAN,
+            },
+        ];
+        let err = s.ingest(batch).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SessionError::Rejected {
+                    index: 3,
+                    error: PerturbationError::Edge(EdgeUpdateError::InvalidWeight { .. })
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(fingerprint(&s), before);
     }
 
     #[cfg(feature = "parallel")]

@@ -31,6 +31,13 @@ pub enum MatroidViolation {
         u: ElementId,
         v: ElementId,
     },
+    /// `exchange_partners(S, u)` differs from the members `v` of `S`, in
+    /// `S` order, with `S − v + u` independent.
+    InconsistentExchangePartners {
+        set: Vec<ElementId>,
+        u: ElementId,
+        partners: Vec<ElementId>,
+    },
 }
 
 /// Audit report for a matroid oracle.
@@ -116,6 +123,7 @@ impl MatroidAudit {
         }
 
         // Consistency of the incremental helpers with the oracle.
+        let mut partners = Vec::new();
         for mask in 0..full {
             if !independent[mask as usize] {
                 continue;
@@ -124,6 +132,18 @@ impl MatroidAudit {
             for u in 0..n as ElementId {
                 if mask >> u & 1 == 1 {
                     continue;
+                }
+                m.exchange_partners(&set, u, &mut partners);
+                let expected = set
+                    .iter()
+                    .copied()
+                    .filter(|&v| independent[((mask & !(1 << v)) | 1 << u) as usize]);
+                if !partners.iter().copied().eq(expected) {
+                    violations.push(MatroidViolation::InconsistentExchangePartners {
+                        set: set.clone(),
+                        u,
+                        partners: partners.clone(),
+                    });
                 }
                 let expected = independent[(mask | 1 << u) as usize];
                 if m.can_add(u, &set) != expected {
@@ -262,6 +282,30 @@ mod tests {
             .violations()
             .iter()
             .any(|v| matches!(v, MatroidViolation::InconsistentCanAdd { .. })));
+    }
+
+    /// A valid rank-1 matroid whose partner list forgets every member.
+    struct SilentPartners;
+    impl Matroid for SilentPartners {
+        fn ground_size(&self) -> usize {
+            2
+        }
+        fn is_independent(&self, set: &[ElementId]) -> bool {
+            set.len() <= 1
+        }
+        fn exchange_partners(&self, _: &[ElementId], _: ElementId, partners: &mut Vec<ElementId>) {
+            partners.clear();
+        }
+    }
+
+    #[test]
+    fn inconsistent_exchange_partners_detected() {
+        let audit = MatroidAudit::exhaustive(&SilentPartners);
+        assert!(audit.violations().iter().any(|v| matches!(
+            v,
+            MatroidViolation::InconsistentExchangePartners { set, u: 1, partners }
+                if set == &[0] && partners.is_empty()
+        )));
     }
 
     #[test]

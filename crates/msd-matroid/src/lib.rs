@@ -98,6 +98,25 @@ pub trait Matroid {
         self.can_swap(inn, out, set)
     }
 
+    /// Exchange partners of an incoming element: clears `partners` and
+    /// fills it with the members `v` of `set`, in `set` order, for which
+    /// `set − v + inn` is independent (`inn ∉ set`).
+    ///
+    /// Semantically the in-order filter of `set` through
+    /// [`Matroid::exchange_feasible`] — which is the default. Swap scans
+    /// that probe every member against one candidate call this once per
+    /// candidate, so families that can answer for all members at once
+    /// override it (uniform: all or nothing in O(1); partition: one
+    /// O(|S|) count of `inn`'s block instead of one per member).
+    fn exchange_partners(&self, set: &[ElementId], inn: ElementId, partners: &mut Vec<ElementId>) {
+        partners.clear();
+        partners.extend(
+            set.iter()
+                .copied()
+                .filter(|&out| self.exchange_feasible(set, out, inn)),
+        );
+    }
+
     /// Greedily extends `set` to a basis (a maximal independent set)
     /// containing it, scanning elements in id order.
     ///
@@ -155,6 +174,10 @@ impl<M: Matroid + ?Sized> Matroid for &M {
     fn exchange_feasible(&self, set: &[ElementId], out: ElementId, inn: ElementId) -> bool {
         (**self).exchange_feasible(set, out, inn)
     }
+
+    fn exchange_partners(&self, set: &[ElementId], inn: ElementId, partners: &mut Vec<ElementId>) {
+        (**self).exchange_partners(set, inn, partners)
+    }
 }
 
 #[cfg(test)]
@@ -195,7 +218,9 @@ mod tests {
 
     /// Every `exchange_feasible` override must agree with the generic
     /// `can_swap` on all (independent-set, out, in) triples of a small
-    /// ground set — the fast paths are pure speedups, never semantics.
+    /// ground set, and every `exchange_partners` override with the
+    /// in-order filter of `exchange_feasible` — the fast paths are pure
+    /// speedups, never semantics.
     #[test]
     fn exchange_feasible_agrees_with_can_swap_across_families() {
         let n = 6usize;
@@ -219,6 +244,7 @@ mod tests {
                 &[vec![0, 1, 2], vec![2, 3], vec![4, 5]],
             )),
         ];
+        let mut partners = Vec::new();
         for m in &matroids {
             for mask in 0u32..(1 << n) {
                 let set: Vec<ElementId> = (0..n as ElementId)
@@ -239,7 +265,69 @@ mod tests {
                         );
                     }
                 }
+                for inn in 0..n as ElementId {
+                    if set.contains(&inn) {
+                        continue;
+                    }
+                    m.exchange_partners(&set, inn, &mut partners);
+                    let expected: Vec<ElementId> = set
+                        .iter()
+                        .copied()
+                        .filter(|&out| m.exchange_feasible(&set, out, inn))
+                        .collect();
+                    assert_eq!(partners, expected, "{set:?} +{inn}");
+                }
+                // Member order is part of the contract: scans walk the
+                // partner list as their traversal order.
+                let reversed: Vec<ElementId> = set.iter().rev().copied().collect();
+                for inn in 0..n as ElementId {
+                    if set.contains(&inn) {
+                        continue;
+                    }
+                    m.exchange_partners(&reversed, inn, &mut partners);
+                    let expected: Vec<ElementId> = reversed
+                        .iter()
+                        .copied()
+                        .filter(|&out| m.exchange_feasible(&reversed, out, inn))
+                        .collect();
+                    assert_eq!(partners, expected, "{reversed:?} +{inn}");
+                }
             }
         }
+    }
+
+    /// The `&M` forwarder and the truncation wrapper must reach the inner
+    /// family's `exchange_partners` override rather than the default
+    /// filter, or a wrapped partition silently loses its fast path.
+    #[test]
+    fn wrappers_forward_exchange_partners() {
+        /// Marks its own answers with an out-of-set sentinel.
+        struct Marked;
+        impl Matroid for Marked {
+            fn ground_size(&self) -> usize {
+                4
+            }
+            fn is_independent(&self, set: &[ElementId]) -> bool {
+                set.len() <= 2
+            }
+            fn exchange_partners(
+                &self,
+                _: &[ElementId],
+                _: ElementId,
+                partners: &mut Vec<ElementId>,
+            ) {
+                partners.clear();
+                partners.push(99);
+            }
+        }
+        let mut partners = vec![7];
+        <&Marked as Matroid>::exchange_partners(&&Marked, &[0, 1], 2, &mut partners);
+        assert_eq!(partners, [99]);
+        let truncated = TruncatedMatroid::new(Marked, 2);
+        truncated.exchange_partners(&[0, 1], 2, &mut partners);
+        assert_eq!(partners, [99]);
+        // Over the truncation bound nothing is exchangeable.
+        TruncatedMatroid::new(Marked, 1).exchange_partners(&[0, 1], 2, &mut partners);
+        assert!(partners.is_empty());
     }
 }

@@ -138,6 +138,30 @@ impl Matroid for PartitionMatroid {
         self.can_swap(inn, out, set)
     }
 
+    /// O(|S|) for all members at once: one count of `inn`'s block. With
+    /// room in that block every member is a partner; at capacity only
+    /// the same-block members are.
+    fn exchange_partners(&self, set: &[ElementId], inn: ElementId, partners: &mut Vec<ElementId>) {
+        partners.clear();
+        if (inn as usize) >= self.block_of.len() {
+            return;
+        }
+        let bi = self.block_of[inn as usize];
+        let occupancy = set
+            .iter()
+            .filter(|&&x| self.block_of[x as usize] == bi)
+            .count() as u32;
+        if occupancy < self.capacity[bi as usize] {
+            partners.extend_from_slice(set);
+        } else {
+            partners.extend(
+                set.iter()
+                    .copied()
+                    .filter(|&x| self.block_of[x as usize] == bi),
+            );
+        }
+    }
+
     fn rank(&self) -> usize {
         // Rank = Σ min(|block|, capacity).
         let mut sizes = vec![0u32; self.capacity.len()];

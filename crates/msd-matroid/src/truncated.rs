@@ -54,6 +54,16 @@ impl<M: Matroid> Matroid for TruncatedMatroid<M> {
     fn exchange_feasible(&self, set: &[ElementId], out: ElementId, inn: ElementId) -> bool {
         set.len() <= self.k && self.inner.exchange_feasible(set, out, inn)
     }
+
+    /// Delegates to the inner matroid's partner list under the same
+    /// cardinality guard.
+    fn exchange_partners(&self, set: &[ElementId], inn: ElementId, partners: &mut Vec<ElementId>) {
+        if set.len() <= self.k {
+            self.inner.exchange_partners(set, inn, partners);
+        } else {
+            partners.clear();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -50,6 +50,14 @@ impl Matroid for UniformMatroid {
         (inn as usize) < self.n && set.len() <= self.k
     }
 
+    /// O(1) decision: every member or none.
+    fn exchange_partners(&self, set: &[ElementId], inn: ElementId, partners: &mut Vec<ElementId>) {
+        partners.clear();
+        if (inn as usize) < self.n && set.len() <= self.k {
+            partners.extend_from_slice(set);
+        }
+    }
+
     fn rank(&self) -> usize {
         self.k
     }
